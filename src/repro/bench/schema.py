@@ -2,8 +2,8 @@
 
 A bench payload is the committed record of the simulator's wall-clock
 performance trajectory: every entry in the repo's history answers "how
-fast was the core at this commit, and how much of that is the skip-ahead
-event loop vs. the reference loop?".  The schema is deliberately small
+fast was the simulator at this commit, and how much faster than the
+reference model (:mod:`repro.reference`)?".  The schema is deliberately small
 and flat so that payloads diff cleanly in review.
 
 This module is **stdlib-only** on purpose: :mod:`repro.runner.jobs`
@@ -14,9 +14,12 @@ at import time.
 Version history:
 
 * **1** — initial schema: per-case wall time, cycles/sec, the
-  legacy-loop reference time, the dimensionless ``speedup_vs_legacy``
-  ratio the CI gate compares, and the cycle-identical ``stats_match``
-  differential bit.
+  reference time, the dimensionless ``speedup_vs_legacy`` ratio the CI
+  gate compares, and the cycle-identical ``stats_match`` differential
+  bit.  Payloads up to ``BENCH_2026-08-08.json`` timed the step-every-
+  cycle loop as the reference; later ones time the whole reference
+  model (that loop plus the scalar Snake walk and per-request issue),
+  so their ratios are larger and are compared only with each other.
 
 Field reference (kept in sync with docs/PERFORMANCE.md by
 ``tools/check_docs.py``): see :data:`TOP_FIELDS` and :data:`CASE_FIELDS`.
@@ -39,7 +42,7 @@ DEFAULT_TOLERANCE = 0.15
 #: wall time may exceed the baseline's by at most this fraction.  Wall
 #: time is machine-dependent (unlike the speedup ratio), so this bound
 #: is deliberately loose — it exists to catch order-of-magnitude
-#: hot-path regressions that a ratio gate cannot see (both loops getting
+#: hot-path regressions that a ratio gate cannot see (both models getting
 #: slower together), not few-percent jitter.
 DEFAULT_WALL_TOLERANCE = 0.60
 
@@ -48,7 +51,7 @@ TOP_FIELDS: Dict[str, type] = {
     "schema_version": int,
     "generated": str,  # ISO date the payload was measured
     "quick": bool,  # True when only the --quick subset ran
-    "loop": str,  # primary measured loop: "event" or "legacy"
+    "loop": str,  # "event" (production primary); "legacy" only in old payloads
     "host": dict,  # python/platform/cpu_count of the measuring machine
     "peak_rss_mb": float,  # process high-water RSS after the suite
     "quickstart_wall_s": float,  # combined wall time of the quickstart pair
@@ -62,13 +65,13 @@ CASE_FIELDS: Dict[str, type] = {
     "mechanism": str,
     "scale": float,
     "seed": int,
-    "cycles": int,  # simulated cycles (identical in both loops)
+    "cycles": int,  # simulated cycles (identical in both models)
     "instructions": int,  # committed warp instructions
-    "wall_s": float,  # wall time of the primary loop
+    "wall_s": float,  # wall time of the production simulator
     "cycles_per_sec": float,  # cycles / wall_s — the throughput number
-    "legacy_wall_s": float,  # wall time of the reference (legacy) loop
+    "legacy_wall_s": float,  # wall time of the reference model
     "speedup_vs_legacy": float,  # legacy_wall_s / wall_s, dimensionless
-    "stats_match": bool,  # SimStats identical between the two loops
+    "stats_match": bool,  # SimStats identical between the two models
 }
 
 
@@ -155,15 +158,16 @@ def compare_payloads(
 
     The gate deliberately compares the **dimensionless**
     ``speedup_vs_legacy`` ratio, not absolute wall times: CI machines
-    vary in speed run-to-run, but both loops run on the same machine in
-    the same process, so their ratio isolates the event core's
-    contribution.  A case regresses when its ratio drops more than
-    ``tolerance`` below the baseline's, when its stats no longer match
-    the legacy loop, or when the two payloads share no comparable case.
+    vary in speed run-to-run, but both models run on the same machine in
+    the same process, so their ratio isolates the production
+    simulator's own speed.  A case regresses when its ratio drops more
+    than ``tolerance`` below the baseline's, when its stats no longer
+    match the reference model, or when the two payloads share no
+    comparable case.
 
     One absolute check backs the ratio gate up: ``quickstart_wall_s``
     may not exceed the baseline's by more than ``wall_tolerance`` — a
-    hot-path regression that slows *both* loops leaves every ratio
+    hot-path regression that slows *both* models leaves every ratio
     intact, and only the wall clock notices.
     """
     regressions: List[str] = []
@@ -193,7 +197,7 @@ def compare_payloads(
         compared += 1
         if not c["stats_match"]:
             regressions.append(
-                "case %s: event-loop stats diverged from the legacy loop" % name
+                "case %s: stats diverged from the reference model" % name
             )
         floor = b["speedup_vs_legacy"] * (1.0 - tolerance)
         if c["speedup_vs_legacy"] < floor:

@@ -2,15 +2,15 @@
 
 Each :class:`BenchCase` is a fully pinned simulation (app, mechanism,
 scale, seed, config overrides) run twice per measurement: once on the
-primary loop and once on the ``--legacy-loop`` reference core.  That
-buys two things in one pass:
+production simulator and once on the reference model
+(:mod:`repro.reference`).  That buys two things in one pass:
 
-* a **differential check** — the two loops must produce identical
-  :class:`~repro.gpusim.stats.SimStats` (the refactor's cycle-identical
-  contract), recorded as ``stats_match``;
-* a **machine-independent ratio** — ``speedup_vs_legacy`` is what the CI
-  gate compares across commits, because both loops ran back-to-back on
-  the same machine.
+* a **differential check** — the two models must produce identical
+  :class:`~repro.gpusim.stats.SimStats` (the cycle-identical contract),
+  recorded as ``stats_match``;
+* a **machine-independent ratio** — ``speedup_vs_legacy`` (reference wall
+  time over production wall time) is what the CI gate compares across
+  commits, because both models ran back-to-back on the same machine.
 
 This module lives in the *wall-clock domain*: unlike everything under
 ``repro.gpusim``/``repro.core`` it reads ``time.perf_counter`` and the
@@ -64,11 +64,10 @@ CASES: Tuple[BenchCase, ...] = (
         overrides=(("num_sms", 4),), quick=False,
     ),
     # Table-walk-heavy pair (docs/PERFORMANCE.md, "The batched hot
-    # path").  The long-chain cell enlarges the Tail CAM past the
-    # vectorized walk's bucket threshold and deepens chains, so
-    # ``TailTable.walk_raw`` dominates; the serve-drain cell measures
-    # ``ServiceState.apply_batch`` against sequential ``apply`` (its
-    # "legacy" loop), with digest equality as the differential bit.
+    # path").  The long-chain cell enlarges the Tail CAM and deepens
+    # chains, so ``TailTable.walk_raw`` dominates; the serve-drain cell
+    # measures ``ServiceState.apply_batch`` against sequential ``apply``
+    # (its reference), with digest equality as the differential bit.
     BenchCase(
         "longchain-mum-snake", "mum", "snake", 0.5,
         overrides=(("tail_entries", 64), ("max_chain_depth", 16)),
@@ -113,12 +112,12 @@ def _serve_drain_records(scale: float, seed: int):
 
 
 def _run_serve_drain(
-    case: BenchCase, batched: bool
+    case: BenchCase, sweeps: bool
 ) -> Tuple[Dict[str, Any], int, int, float]:
     """Drain one deterministic record stream through the service state
     core; returns (identity stats, seq, applied count, wall seconds).
 
-    ``batched`` picks the lane: ``apply_batch`` in
+    ``sweeps`` picks the lane: ``apply_batch`` in
     ``SERVE_DRAIN_CHUNK``-sized sweeps (the primary measurement) or one
     scalar ``apply`` per record (the reference).  The identity stats are
     the state digest plus the journaled counters — byte-equal digests
@@ -131,7 +130,7 @@ def _run_serve_drain(
     for client in clients:
         state.admit(client)
     start = time.perf_counter()
-    if batched:
+    if sweeps:
         for i in range(0, len(records), SERVE_DRAIN_CHUNK):
             state.apply_batch(records[i:i + SERVE_DRAIN_CHUNK])
     else:
@@ -143,18 +142,21 @@ def _run_serve_drain(
     return stats, state.seq, state.counters["applied"], wall
 
 
-def _run_once(case: BenchCase, legacy: bool) -> Tuple[Dict[str, float], int, int, float]:
-    """Simulate one case on one loop; returns (stats dict, cycles,
-    instructions, wall seconds)."""
+def _run_once(
+    case: BenchCase, reference: bool
+) -> Tuple[Dict[str, float], int, int, float]:
+    """Simulate one case on the production simulator or the reference
+    model; returns (stats dict, cycles, instructions, wall seconds)."""
     from repro.gpusim.config import GPUConfig
     from repro.gpusim.gpu import GPU
     from repro.prefetch import build_setup
+    from repro.reference import ReferenceGPU
     from repro.workloads import build_kernel
 
-    config = GPUConfig.scaled().with_(legacy_loop=legacy, **dict(case.overrides))
+    config = GPUConfig.scaled().with_(**dict(case.overrides))
     setup = build_setup(case.mechanism, config)
     kernel = build_kernel(case.app, scale=case.scale, seed=case.seed)
-    gpu = GPU(
+    gpu = (ReferenceGPU if reference else GPU)(
         config=setup.config,
         prefetcher_factory=setup.prefetcher_factory,
         throttle_factory=setup.throttle_factory,
@@ -166,37 +168,19 @@ def _run_once(case: BenchCase, legacy: bool) -> Tuple[Dict[str, float], int, int
     return stats.as_dict(), stats.cycles, stats.instructions, wall
 
 
-def run_case(case: BenchCase, loop: str = "event") -> Dict[str, Any]:
-    """Measure one case; ``loop`` picks the primary core ('event' or
-    'legacy').  With the event primary, the legacy reference runs too
-    and the payload records the differential bit and the speedup ratio;
-    with the legacy primary only one run happens (ratio pinned to 1)."""
-    if loop not in ("event", "legacy"):
-        raise ValueError("loop must be 'event' or 'legacy', not %r" % loop)
+def run_case(case: BenchCase) -> Dict[str, Any]:
+    """Measure one case on the production simulator and on its
+    reference; the payload records the differential bit and the speedup
+    ratio.  The serve case's reference is sequential ``apply``, and
+    digest equality plays the role of SimStats identity."""
     if case.app == "serve-drain":
-        # The serve case's two "loops" are the batched and scalar apply
-        # lanes; digest equality plays the role of SimStats identity.
-        stats, cycles, instructions, wall = _run_serve_drain(
-            case, batched=loop == "event"
+        stats, cycles, instructions, wall = _run_serve_drain(case, sweeps=True)
+        reference_stats, _, _, reference_wall = _run_serve_drain(
+            case, sweeps=False
         )
-        if loop == "event":
-            legacy_stats, _, _, legacy_wall = _run_serve_drain(
-                case, batched=False
-            )
-            stats_match = stats == legacy_stats
-        else:
-            legacy_wall = wall
-            stats_match = True
     else:
-        stats, cycles, instructions, wall = _run_once(
-            case, legacy=loop == "legacy"
-        )
-        if loop == "event":
-            legacy_stats, _, _, legacy_wall = _run_once(case, legacy=True)
-            stats_match = stats == legacy_stats
-        else:
-            legacy_wall = wall
-            stats_match = True
+        stats, cycles, instructions, wall = _run_once(case, reference=False)
+        reference_stats, _, _, reference_wall = _run_once(case, reference=True)
     return {
         "name": case.name,
         "app": case.app,
@@ -207,9 +191,11 @@ def run_case(case: BenchCase, loop: str = "event") -> Dict[str, Any]:
         "instructions": instructions,
         "wall_s": round(wall, 4),
         "cycles_per_sec": round(cycles / wall, 1) if wall > 0 else 0.0,
-        "legacy_wall_s": round(legacy_wall, 4),
-        "speedup_vs_legacy": round(legacy_wall / wall, 4) if wall > 0 else 1.0,
-        "stats_match": stats_match,
+        "legacy_wall_s": round(reference_wall, 4),
+        "speedup_vs_legacy": (
+            round(reference_wall / wall, 4) if wall > 0 else 1.0
+        ),
+        "stats_match": stats == reference_stats,
     }
 
 
@@ -223,7 +209,6 @@ def _peak_rss_mb() -> float:
 
 def run_suite(
     quick: bool = False,
-    loop: str = "event",
     cases: Optional[Sequence[BenchCase]] = None,
     generated: Optional[str] = None,
 ) -> Dict[str, Any]:
@@ -235,13 +220,13 @@ def run_suite(
     if cases is None:
         cases = CASES
     selected = [c for c in cases if c.quick] if quick else list(cases)
-    results = [run_case(case, loop=loop) for case in selected]
+    results = [run_case(case) for case in selected]
     quickstart = [r for r in results if r["name"].startswith("quickstart-")]
     payload: Dict[str, Any] = {
         "schema_version": BENCH_SCHEMA_VERSION,
         "generated": generated or date.today().isoformat(),
         "quick": quick,
-        "loop": loop,
+        "loop": "event",
         "host": {
             "python": "%d.%d.%d" % sys.version_info[:3],
             "platform": platform.platform(),
@@ -292,15 +277,14 @@ def find_baseline(directory: str = ".", exclude: Optional[Path] = None) -> Optio
 def render_table(payload: Dict[str, Any]) -> str:
     """Human-readable summary of one payload."""
     lines = [
-        "bench (%s loop%s) — generated %s, python %s"
+        "bench (production vs reference%s) — generated %s, python %s"
         % (
-            payload["loop"],
             ", quick subset" if payload["quick"] else "",
             payload["generated"],
             payload["host"]["python"],
         ),
         "%-26s %9s %12s %9s %8s %6s"
-        % ("case", "wall_s", "cycles/sec", "legacy_s", "speedup", "match"),
+        % ("case", "wall_s", "cycles/sec", "ref_s", "speedup", "match"),
     ]
     for case in payload["cases"]:
         lines.append(

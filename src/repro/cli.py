@@ -46,9 +46,9 @@ attached — see ``docs/OBSERVABILITY.md`` for the full walkthrough.
 simulator with the conservation sanitizer armed and asserts the
 demand-visible outcome matches a fault-free run — see
 ``docs/ROBUSTNESS.md``.  ``bench`` measures the simulator itself (wall
-time, cycles/sec, event-core speedup vs the ``--legacy-loop`` reference)
-and gates regressions against the committed ``BENCH_<date>.json``
-baseline — see ``docs/PERFORMANCE.md``.
+time, cycles/sec, speedup vs the :mod:`repro.reference` model) and
+gates regressions against the committed ``BENCH_<date>.json`` baseline
+— see ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -216,11 +216,6 @@ def _obs_parser(command: str) -> argparse.ArgumentParser:
     parser.add_argument(
         "--top", type=int, default=20, help="rows per metrics table"
     )
-    parser.add_argument(
-        "--legacy-loop", action="store_true",
-        help="run on the reference step-every-cycle loop instead of the "
-        "event-driven core (differential testing; stats must be identical)",
-    )
     if command == "trace":
         parser.add_argument(
             "--out", metavar="PATH", default=None,
@@ -247,7 +242,7 @@ def _run_obs_command(command: str, argv) -> int:
         try:
             profile = hot_profile_run(
                 args.app, mechanism=args.mechanism, scale=args.scale,
-                seed=args.seed, legacy_loop=args.legacy_loop,
+                seed=args.seed,
             )
         except (KeyError, ValueError) as exc:
             print("error: %s" % exc, file=sys.stderr)
@@ -259,16 +254,12 @@ def _run_obs_command(command: str, argv) -> int:
         if args.bucket is not None
         else GPUConfig().telemetry_bucket_cycles
     )
-    config = (
-        GPUConfig.scaled().with_(legacy_loop=True) if args.legacy_loop else None
-    )
     try:
         result = traced_run(
             args.app,
             mechanism=args.mechanism,
             scale=args.scale,
             seed=args.seed,
-            config=config,
             bucket_cycles=bucket,
             chrome=command == "trace",
         )
@@ -869,7 +860,7 @@ def _bench_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="snake-repro bench",
         description="Measure the simulator itself: run the pinned suite on "
-        "the event-driven core and the --legacy-loop reference, record "
+        "the production simulator and the reference model, record "
         "wall time, cycles/sec, peak RSS and speedup_vs_legacy in a "
         "schema-versioned BENCH_<date>.json, and (with --check) gate "
         "against the committed baseline.  See docs/PERFORMANCE.md.",
@@ -896,11 +887,6 @@ def _bench_parser() -> argparse.ArgumentParser:
         "--tolerance", type=float, default=None, metavar="F",
         help="allowed fractional drop in speedup_vs_legacy (default 0.15)",
     )
-    parser.add_argument(
-        "--legacy-loop", action="store_true",
-        help="measure the reference loop as primary instead (trajectory "
-        "of the pre-refactor core; --check refuses such payloads)",
-    )
     return parser
 
 
@@ -915,9 +901,8 @@ def _run_bench_command(argv) -> int:
     )
 
     args = _bench_parser().parse_args(argv)
-    loop = "legacy" if args.legacy_loop else "event"
     try:
-        payload = run_suite(quick=args.quick, loop=loop)
+        payload = run_suite(quick=args.quick)
     except (KeyError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -929,7 +914,8 @@ def _run_bench_command(argv) -> int:
     diverged = [c["name"] for c in payload["cases"] if not c["stats_match"]]
     if diverged:
         print(
-            "error: event/legacy stats diverged for %s" % ", ".join(diverged),
+            "error: stats diverged from the reference model for %s"
+            % ", ".join(diverged),
             file=sys.stderr,
         )
         return 3
@@ -1177,8 +1163,9 @@ def main(argv=None) -> int:
     if args.experiment == "claims":
         from repro.analysis.claims import check_claims, render_claims
 
-        print(render_claims(check_claims(scale=args.scale, seed=args.seed)))
-        return 0
+        results = check_claims(scale=args.scale, seed=args.seed)
+        print(render_claims(results))
+        return 0 if all(result.holds for result in results) else 1
     if args.experiment == "all":
         for name in sorted(EXPERIMENTS):
             print(EXPERIMENTS[name](args.scale, args.seed))

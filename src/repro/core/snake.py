@@ -27,7 +27,7 @@ from repro.prefetch.base import AccessEvent, Prefetcher, PrefetchRequest
 from repro.prefetch.stride import ConsensusTracker
 
 from .head_table import HeadTable, SNAPSHOT_VERSION
-from .tail_table import TailEntry, TailTable, TrainState
+from .tail_table import TailTable
 
 
 class SnakePrefetcher(Prefetcher):
@@ -48,7 +48,6 @@ class SnakePrefetcher(Prefetcher):
         use_inter_warp: bool = True,
         eviction: str = "lru+pop",
         per_app: bool = False,
-        batched: bool = True,
     ) -> None:
         if max_chain_depth < 1:
             raise ValueError("max_chain_depth must be >= 1")
@@ -75,12 +74,6 @@ class SnakePrefetcher(Prefetcher):
         self.use_intra = use_intra
         self.use_inter_warp = use_inter_warp
         self.train_threshold = train_threshold
-        # Batched hot path: chain generation goes through the Tail table's
-        # column-mirror walk (``TailTable.walk_raw``); False selects the
-        # scalar reference walk, retained as the differential oracle
-        # (``GPUConfig.batched_tables``).  A strategy flag, not learner
-        # state — deliberately absent from snapshots.
-        self.batched = batched
 
         # Intra-warp detection: last address per (app, warp, pc).
         self._intra_last: Dict[Tuple[int, int, int], int] = {}
@@ -165,77 +158,16 @@ class SnakePrefetcher(Prefetcher):
     # ------------------------------------------------------------------
     # Prefetch generation (§3.2)
 
-    def _chain_requests(self, event: AccessEvent) -> List[PrefetchRequest]:
-        """Walk the chain starting at the current PC (Fig 13).
-
-        Different warp groups may have confirmed *different* strides for the
-        same PC pair (§3.4 — e.g. a tiled kernel's in-tile step and its
-        tile-boundary jump), so every trained link out of the triggering PC
-        issues a depth-1 request; the walk then continues transitively along
-        the best-confirmed link only.
-        """
-        requests: List[PrefetchRequest] = []
-        for entry in self.tail.find(event.pc):
-            if not entry.t1.prefetchable:
-                continue
-            target = event.base_addr + entry.inter_thread_stride
-            if target >= 0:
-                requests.append(PrefetchRequest(base_addr=target, depth=1))
-
-        pc, addr = event.pc, event.base_addr
-        visited = set()
-        effective_depth = min(self.max_chain_depth, self._depth_limit)
-        for depth in range(1, effective_depth + 1):
-            entry = self._prefetchable_link(pc, event.warp_id)
-            if entry is None or (entry.pc1, entry.pc2) in visited:
-                break
-            visited.add((entry.pc1, entry.pc2))
-            addr = addr + entry.inter_thread_stride
-            if addr < 0:
-                break
-            requests.append(PrefetchRequest(base_addr=addr, depth=depth))
-            pc = entry.pc2
-        return requests
-
-    def _prefetchable_link(self, pc: int, warp_id: int) -> Optional[TailEntry]:
-        """The best trained link out of ``pc``: once promoted, a link serves
-        *all* future warps (§3.2).  Among competing links for the same PC,
-        prefer one this warp confirmed, then the most-confirmed one."""
-        best = None
-        best_key = None
-        for entry in self.tail.find(pc):
-            if not entry.t1.prefetchable:
-                continue
-            key = (entry.has_warp(warp_id), entry.popcount)
-            if best is None or key > best_key:
-                best, best_key = entry, key
-        return best
-
-    def _intra_requests(self, event: AccessEvent) -> List[PrefetchRequest]:
-        for entry in self.tail.find(event.pc):
-            if entry.t2.prefetchable and entry.intra_stride:
-                return [
-                    PrefetchRequest(base_addr=event.base_addr + k * entry.intra_stride, depth=k)
-                    for k in range(1, self.intra_degree + 1)
-                    if event.base_addr + k * entry.intra_stride >= 0
-                ]
-        return []
-
-    def _inter_warp_requests(self, event: AccessEvent) -> List[PrefetchRequest]:
-        tracker = self._iw_consensus.get((event.app_id, event.pc))
-        if tracker is None or tracker.trained_stride is None:
-            return []
-        stride = tracker.trained_stride
-        requests = []
-        for k in range(1, self.inter_warp_degree + 1):
-            target = event.base_addr + k * stride
-            if target >= 0:
-                requests.append(PrefetchRequest(base_addr=target, depth=k))
-        return requests
-
-    # ------------------------------------------------------------------
-
     def observe(self, event: AccessEvent) -> List[PrefetchRequest]:
+        return [
+            PrefetchRequest(base_addr=addr, depth=depth)
+            for addr, depth in self.observe_raw(event)
+        ]
+
+    def observe_raw(self, event: AccessEvent) -> List[Tuple[int, int]]:
+        """Digest one access and return its predictions as raw
+        ``(base_addr, depth)`` pairs — :meth:`observe` without the
+        :class:`PrefetchRequest` boxing, which the SM's issue path skips."""
         self._select_app(event.app_id)
         if event.divergent:
             # §3.4: warps whose threads do not share a uniform stride are
@@ -245,50 +177,12 @@ class SnakePrefetcher(Prefetcher):
             self.head.update(event.warp_id, event.pc, event.base_addr)
             return []
         self._detect(event)
-        return self._generate(event)
+        return self._generate_raw(event)
 
-    def _generate(self, event: AccessEvent) -> List[PrefetchRequest]:
-        """Prefetch generation for one (already trained-on) access."""
-        if self.batched:
-            return [
-                PrefetchRequest(base_addr=addr, depth=depth)
-                for addr, depth in self._generate_raw(event)
-            ]
-        requests: List[PrefetchRequest] = []
-        if self.use_chains:
-            requests.extend(self._chain_requests(event))
-        if self.use_intra:
-            requests.extend(self._intra_requests(event))
-        if self.use_inter_warp:
-            requests.extend(self._inter_warp_requests(event))
-
-        # Inter-thread first (higher accuracy, §3.4), then de-duplicate.
-        seen = set()
-        unique: List[PrefetchRequest] = []
-        for request in requests:
-            if request.base_addr not in seen:
-                seen.add(request.base_addr)
-                unique.append(request)
-        if unique and self.obs.enabled:
-            self.obs.emit(
-                ChainWalkEvent(
-                    cycle=event.now,
-                    sm_id=self.obs_sm_id,
-                    warp_id=event.warp_id,
-                    pc=event.pc,
-                    depth=max(r.depth for r in unique),
-                    requests=len(unique),
-                )
-            )
-        return unique
-
-    def _generate_raw(self, event: AccessEvent) -> List[Tuple[int, int]]:
-        """Deduplicated ``(base_addr, depth)`` pairs for one trained-on
-        access — the allocation-light lane under both :meth:`_generate`
-        (which boxes pairs into :class:`PrefetchRequest`) and the SM's
-        batched issue path (:meth:`observe_raw`), which consumes the raw
-        pairs directly.  Ordering, deduplication, ``lookups`` accounting
-        and telemetry match the scalar path exactly."""
+    def _candidates(self, event: AccessEvent) -> List[Tuple[int, int]]:
+        """Every ``(base_addr, depth)`` prediction for one access, chains
+        first: the Tail table's chain walk (Fig 13), then the PC's trained
+        intra-warp stride, then its inter-warp stride."""
         pairs: List[Tuple[int, int]]
         if self.use_chains:
             pairs = self.tail.walk_raw(
@@ -321,11 +215,15 @@ class SnakePrefetcher(Prefetcher):
                     for k in range(1, self.inter_warp_degree + 1)
                     if base + k * stride >= 0
                 )
+        return pairs
 
-        # Inter-thread first (higher accuracy, §3.4), then de-duplicate.
+    def _generate_raw(self, event: AccessEvent) -> List[Tuple[int, int]]:
+        """Deduplicated ``(base_addr, depth)`` pairs for one trained-on
+        access: inter-thread first (higher accuracy, §3.4), each address
+        once."""
         seen = set()
         unique: List[Tuple[int, int]] = []
-        for pair in pairs:
+        for pair in self._candidates(event):
             addr = pair[0]
             if addr not in seen:
                 seen.add(addr)
@@ -342,27 +240,6 @@ class SnakePrefetcher(Prefetcher):
                 )
             )
         return unique
-
-    def observe_raw(self, event: AccessEvent) -> List[Tuple[int, int]]:
-        """Digest one access and return raw ``(base_addr, depth)`` pairs.
-
-        The SM's batched issue path (``GPUConfig.batched_issue``) uses this
-        lane to skip per-request :class:`PrefetchRequest` boxing — the
-        batch issuer only consumes base addresses.  Learner state
-        transitions and the pair stream are identical to :meth:`observe`
-        (property-pinned); with ``batched=False`` it simply unboxes the
-        scalar oracle's requests.
-        """
-        if not self.batched:
-            return [
-                (r.base_addr, r.depth) for r in self.observe(event)
-            ]
-        self._select_app(event.app_id)
-        if event.divergent:
-            self.head.update(event.warp_id, event.pc, event.base_addr)
-            return []
-        self._detect(event)
-        return self._generate_raw(event)
 
     def observe_batch(
         self, events: Sequence[AccessEvent]
@@ -405,7 +282,10 @@ class SnakePrefetcher(Prefetcher):
                 int(pc1s_l[i]),
                 int(strides_l[i]) if valid_l[i] else None,
             )
-            results.append(self._generate(event))
+            results.append([
+                PrefetchRequest(base_addr=addr, depth=depth)
+                for addr, depth in self._generate_raw(event)
+            ])
         return results
 
     def tables(self) -> List[Tuple[int, HeadTable, TailTable]]:

@@ -151,25 +151,6 @@ class GPUConfig:
     max_chain_depth: int = 8
     decouple_grace: int = 4096  # cycles an unused prefetched line is protected
 
-    # Timing-core selection (docs/PERFORMANCE.md).  The default run loop is
-    # the event-driven skip-ahead core: SMs are kept in a min-heap keyed by
-    # their next-event horizon and per-SM scans touch only resident warps.
-    # ``legacy_loop=True`` selects the original step-everything reference
-    # loop, kept verbatim for differential testing — both cores must
-    # produce cycle-identical statistics on any workload.
-    legacy_loop: bool = False
-
-    # Batched hot path (docs/PERFORMANCE.md).  ``batched_tables`` routes
-    # Snake chain generation through the Tail table's numpy column-mirror
-    # walk (``TailTable.walk_raw``); ``batched_issue`` routes prefetch
-    # candidates through the one-pass L1 batch filter
-    # (``UnifiedL1Cache.prefetch_batch``).  ``False`` selects the scalar
-    # reference paths, retained as differential oracles — both settings
-    # must produce identical statistics on any workload (pinned by
-    # property tests).
-    batched_tables: bool = True
-    batched_issue: bool = True
-
     # Observability (repro.obs).  ``telemetry=True`` makes the GPU build an
     # event bus even when no explicit ``obs`` bus is passed; sinks attached
     # to ``GPU.obs`` then see every event.  ``telemetry_bucket_cycles`` is

@@ -106,7 +106,7 @@ class GPU:
         """Execute one kernel to completion; returns merged statistics."""
         return self.run_many([kernel])
 
-    def _run_loop_event(
+    def _run_loop(
         self,
         active: List[SM],
         watchdog: Optional[Watchdog],
@@ -119,10 +119,11 @@ class GPU:
         cycle — no per-cycle polling of idle SMs.  ``SM.step_event`` returns
         the SM's new horizon (or None once retired) and performs at most one
         quantum per pop, so shared L2/DRAM/NoC resources see requests in
-        exactly the chronological order of the reference loop: the heap's
-        (horizon, index) order reproduces ``min(active, key=now)`` with its
-        first-in-list tie-break, and a stalled SM's deferred gap accounting
-        touches only SM-local state.
+        exactly the chronological order of the step-everything loop in
+        :class:`repro.reference.ReferenceGPU`: the heap's (horizon, index)
+        order reproduces ``min(active, key=now)`` with its first-in-list
+        tie-break, and a stalled SM's deferred gap accounting touches only
+        SM-local state.
         """
         heap: List[Tuple[int, int, SM]] = [
             (sm.now, idx, sm) for idx, sm in enumerate(active)
@@ -157,29 +158,6 @@ class GPU:
                     heappush(heap, (horizon, idx, sm))
                     break
 
-    def _run_loop_legacy(
-        self,
-        active: List[SM],
-        watchdog: Optional[Watchdog],
-        sanitizer: Optional[SimSanitizer],
-    ) -> None:
-        """Reference step-everything loop (``config.legacy_loop=True``),
-        kept verbatim for differential testing against the event core."""
-        iterations = 0
-        while active:
-            sm = min(active, key=lambda s: s.now)
-            if not sm.step():
-                sm.finalize()
-                active.remove(sm)
-            iterations += 1
-            # The progress signature (and the sanitizer's full audit) sums
-            # state over all SMs, so sample sparsely rather than per step.
-            if iterations & 0xFF == 0:
-                if watchdog is not None:
-                    watchdog.check(sm.now)
-                if sanitizer is not None:
-                    sanitizer.maybe_check(sm.now)
-
     def run_many(self, kernels: Sequence[KernelTrace]) -> SimStats:
         """Execute several kernels *concurrently* (multi-application mode,
         the paper's §1 extension).  Each kernel gets an app id; CTAs of all
@@ -202,7 +180,9 @@ class GPU:
             self.sms[idx % len(self.sms)].enqueue_cta(cta, app_id=app_id)
 
         # Interleave SMs in global-time order so shared L2/DRAM resources
-        # see requests chronologically (see SM.step's docstring).
+        # see requests chronologically: simulating SMs to completion one
+        # after another would make a later SM's early requests queue
+        # behind the entire lifetime of traffic from earlier SMs.
         for sm in self.sms:
             sm.start()
         active = list(self.sms)
@@ -222,10 +202,7 @@ class GPU:
             if (self.config.watchdog_cycles or self.config.max_cycles)
             else None
         )
-        if self.config.legacy_loop:
-            self._run_loop_legacy(active, watchdog, sanitizer)
-        else:
-            self._run_loop_event(active, watchdog, sanitizer)
+        self._run_loop(active, watchdog, sanitizer)
         if sanitizer is not None:
             # Final audit so every completed run ends on a clean check even
             # when it retires between cadence points.

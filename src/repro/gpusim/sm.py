@@ -20,14 +20,8 @@ from typing import Deque, Dict, List, Optional, Protocol, Tuple
 from collections import deque
 from heapq import heappop, heappush
 
-from repro.obs.events import (
-    BusLike,
-    CacheAccessEvent,
-    NULL_BUS,
-    PrefetchIssueEvent,
-    ThrottleEvent,
-)
-from repro.prefetch.base import AccessEvent, Prefetcher, PrefetchRequest
+from repro.obs.events import BusLike, CacheAccessEvent, NULL_BUS
+from repro.prefetch.base import AccessEvent, Prefetcher
 
 from .coalescer import coalesce, coalesce_lines, coalesce_sectors
 from .config import GPUConfig
@@ -109,7 +103,7 @@ class SM:
         # once here instead of per observed access.
         self._pf_has_depth_limit = hasattr(prefetcher, "set_depth_limit")
         # Raw-pair observe lane (Snake): returns (base_addr, depth) tuples
-        # so the batched issue path skips PrefetchRequest boxing entirely.
+        # so the issue path skips PrefetchRequest boxing entirely.
         self._pf_observe_raw = getattr(prefetcher, "observe_raw", None)
         # A mechanism that never predicts ("none" baseline keeps the base
         # class observe) makes the whole prefetcher hook a no-op, so loads
@@ -121,12 +115,6 @@ class SM:
             and not prefetcher.uses_magic
             and faults is None
         )
-        # Batched prefetch issue (docs/PERFORMANCE.md): hand the L1 each
-        # request's line vector in one call.  Scalar fallback when disabled
-        # by config (differential oracle) or when telemetry is on — the
-        # scalar path interleaves PrefetchIssueEvents with L1 drop events
-        # line by line, and event order is part of the parity contract.
-        self._batched_issue = config.batched_issue
         self.throttle = throttle
         self.scheduler = make_scheduler(config.scheduler)
         # Each scheduler issues at most one instruction per cycle, so the
@@ -151,7 +139,7 @@ class SM:
         # popped before issuing, re-pushed after; barrier parking removes
         # it, release re-adds it), so entries are never stale and the head
         # is an exact next-wakeup horizon — no per-quantum scan of all
-        # resident warps.  The reference :meth:`step` keeps its scans.
+        # resident warps.
         self._wake: List[Tuple[int, int, WarpState]] = []
         self._wake_seq = 0
         # Count of unfinished, non-parked warps with ``waiting_on_memory``
@@ -197,64 +185,18 @@ class SM:
         """Activate the first CTAs; call before stepping."""
         self._activate_ctas()
 
-    def step(self) -> bool:
-        """Advance this SM by one quantum — either one issue cycle or a jump
-        to the next warp-ready event.  Returns False once all work retired.
-
-        The GPU interleaves ``step()`` across SMs in global-time order so
-        that accesses to the *shared* L2/DRAM resources happen in (roughly)
-        chronological order — simulating SMs to completion one after another
-        would make a later SM's early requests queue behind the entire
-        lifetime of traffic from earlier SMs.
-        """
-        runnable = [
-            w for w in self._warps if not w.finished and not w.at_barrier
-        ]
-        if not runnable:
-            if self._cta_queue:
-                self._activate_ctas()
-                return True
-            return False
-
-        ready = [w for w in runnable if w.ready_at <= self.now]
-        if not ready:
-            next_time = min(w.ready_at for w in runnable)
-            gap = next_time - self.now
-            self.stats.stall_cycles_total += gap
-            if all(w.waiting_on_memory for w in runnable):
-                self.stats.stall_cycles_memory += gap
-            self.now = next_time
-            return True
-
-        issued = 0
-        while issued < self._issue_width:
-            ready = [
-                w
-                for w in self._warps
-                if not w.finished
-                and not w.at_barrier
-                and w.ready_at <= self.now
-            ]
-            if not ready:
-                break
-            warp = self.scheduler.pick(ready)
-            self._issue(warp)
-            self.scheduler.note_issued(warp)
-            issued += 1
-        self.now += 1
-        return True
-
     def step_event(self) -> Optional[int]:
-        """Event-core step: one quantum with the same semantics as
-        :meth:`step`, returning the SM's next-event horizon (the earliest
-        cycle it can make further progress) or None once all work retired.
+        """Advance this SM by one quantum — either one issue cycle or a jump
+        to the next warp-ready event — and return its next-event horizon
+        (the earliest cycle it can make further progress), or None once
+        all work retired.
 
-        Differences from the reference loop are purely structural — the
-        ready set comes off the wake heap instead of a scan over every
+        The ready set comes off the wake heap instead of a scan over every
         resident warp (the heap invariant is documented at ``_wake``), and
         the schedulers are ready-*set* functions, never ready-*order*
         functions, so heap pop order cannot perturb a pick.  Statistics
-        must be cycle-identical to :meth:`step`;
+        must be cycle-identical to the step-every-cycle
+        :class:`repro.reference.ReferenceSM`;
         ``tests/gpusim/test_skip_ahead.py`` enforces this differentially.
         """
         now = self.now
@@ -321,7 +263,7 @@ class SM:
     def run(self) -> SimStats:
         """Single-SM convenience: step to completion."""
         self.start()
-        while self.step():
+        while self.step_event() is not None:
             pass
         return self.finalize()
 
@@ -491,107 +433,52 @@ class SM:
             # the tables are consulted — predictions may go wrong, demand
             # correctness cannot.
             self._faults.corrupt_tail(self.prefetcher, self.now, self.sm_id)
-        if (
-            self._batched_issue
-            and not self.obs.enabled
-            and not self.prefetcher.uses_magic
-        ):
-            observe_raw = self._pf_observe_raw
-            if observe_raw is not None:
-                pairs = observe_raw(event)
-                if not pairs:
-                    return
-                self.l1.prefetcher_trained = self.prefetcher.trained
-                self._issue_prefetch_batch(pairs, instr)
-                return
-            requests = self.prefetcher.observe(event)
-            if not requests:
-                return
-            self.l1.prefetcher_trained = self.prefetcher.trained
-            self._issue_prefetch_batch(
-                [(r.base_addr, r.depth) for r in requests], instr
-            )
-            return
-        requests = self.prefetcher.observe(event)
-        if not requests:
-            return
-        self.l1.prefetcher_trained = self.prefetcher.trained
-        for request in requests:
-            self._issue_prefetch(request, instr)
+        self._issue_prefetch(event, instr)
 
-    def _issue_prefetch(self, request: PrefetchRequest, instr: WarpInstr) -> None:
-        if self.prefetcher.uses_magic:
-            for line in coalesce_lines(
-                request.base_addr, instr.thread_stride, instr.size_bytes,
-                self.config.warp_size, self.l1.line_bytes,
-            ):
-                self.l1.magic_prefetch(line)
-            return
-        # The paper's trigger metric is total NoC utilization (the Fig 4
-        # measure): both directions against both directions' peak.
-        utilization = 0.5 * (
-            self.icnt_req.measured_utilization(self.now)
-            + self.icnt_resp.measured_utilization(self.now)
-        )
-        if not self.throttle.allow(self.now, self.l1, utilization):
-            self.stats.prefetch.dropped_throttled += 1
-            if self.obs.enabled:
-                reason = (
-                    "bandwidth" if getattr(self.throttle, "bw_halted", False)
-                    else "space"
-                )
-                self.obs.emit(
-                    ThrottleEvent(
-                        cycle=self.now, sm_id=self.sm_id, reason=reason,
-                        utilization=utilization,
-                    )
-                )
-            return
-        # The table search pipeline adds a couple of cycles before the
-        # request can leave the prefetcher (§5.5 reports 2 cycles).
-        issue_at = self.now + self.config.prefetcher_latency
-        for line in coalesce_lines(
-            request.base_addr, instr.thread_stride, instr.size_bytes,
-            self.config.warp_size, self.l1.line_bytes,
-        ):
-            sent = self.l1.prefetch(line, issue_at)
-            if sent and self.obs.enabled:
-                self.obs.emit(
-                    PrefetchIssueEvent(
-                        cycle=issue_at, sm_id=self.sm_id, pc=instr.pc,
-                        line_addr=line, depth=request.depth,
-                    )
-                )
+    def _issue_prefetch(self, event: AccessEvent, instr: WarpInstr) -> None:
+        """Train the prefetcher on one access and issue its predictions.
 
-    def _issue_prefetch_batch(
-        self, requests: List[Tuple[int, int]], instr: WarpInstr
-    ) -> None:
-        """Issue one trigger's whole candidate vector (``config.batched_issue``)
-        given raw ``(base_addr, depth)`` pairs.
-
-        Coalesces every request up front and hands the L1 the full
-        per-trigger vector-of-vectors in one
-        :meth:`UnifiedL1Cache.prefetch_trigger` call; the throttle still
-        votes per request inside (memoized — see there).  Statistics are
-        identical to the scalar loop (the retained oracle), pinned by
-        property tests; telemetry runs take the scalar path so event
-        interleaving is byte-stable.
-        """
-        now = self.now
-        stride = instr.thread_stride
-        size_bytes = instr.size_bytes
+        The ideal prefetcher fills its magic storage directly.  Every other
+        mechanism's requests are coalesced up front and handed to the L1
+        as one trigger (:meth:`UnifiedL1Cache.prefetch_trigger`), which
+        runs the throttle vote and the per-line issue."""
+        prefetcher = self.prefetcher
         warp_size = self.config.warp_size
         line_bytes = self.l1.line_bytes
+        stride = instr.thread_stride
+        size_bytes = instr.size_bytes
+        if prefetcher.uses_magic:
+            requests = prefetcher.observe(event)
+            if requests:
+                self.l1.prefetcher_trained = prefetcher.trained
+            for request in requests:
+                for line in coalesce_lines(
+                    request.base_addr, stride, size_bytes, warp_size, line_bytes
+                ):
+                    self.l1.magic_prefetch(line)
+            return
+        # Snake's raw lane returns (base_addr, depth) pairs unboxed.
+        observe_raw = self._pf_observe_raw
+        if observe_raw is not None:
+            pairs = observe_raw(event)
+        else:
+            pairs = [(r.base_addr, r.depth) for r in prefetcher.observe(event)]
+        if not pairs:
+            return
+        self.l1.prefetcher_trained = prefetcher.trained
+        now = self.now
+        # The table search pipeline adds a couple of cycles before the
+        # requests can leave the prefetcher (§5.5 reports 2 cycles).
         self.l1.prefetch_trigger(
             [
-                coalesce_lines(
-                    base_addr, stride, size_bytes, warp_size, line_bytes
-                )
-                for base_addr, _depth in requests
+                coalesce_lines(base_addr, stride, size_bytes, warp_size, line_bytes)
+                for base_addr, _depth in pairs
             ],
+            [depth for _base, depth in pairs],
             now,
             now + self.config.prefetcher_latency,
             self.throttle,
+            instr.pc,
         )
 
     # ------------------------------------------------------------------

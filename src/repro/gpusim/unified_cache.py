@@ -25,17 +25,21 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from typing import TYPE_CHECKING, Deque, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Deque, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.obs.events import (
     BusLike,
     NULL_BUS,
     PrefetchDropEvent,
     PrefetchFillEvent,
+    PrefetchIssueEvent,
     PrefetchUseEvent,
+    ThrottleEvent,
 )
 
-from .cache import LineState, MSHR, SetAssocCache
+from .cache import LineState, MSHR, MSHREntry, SetAssocCache
 from .config import CacheConfig, GPUConfig
 from .faults import FaultInjector
 from .interconnect import Interconnect
@@ -494,238 +498,134 @@ class UnifiedL1Cache:
     def prefetch(self, line_addr: int, now: int) -> bool:
         """Issue a hardware prefetch for one line.  Returns True when a
         request actually left for L2."""
-        self._commit_fills(now)
-        if self._faults is not None and self._faults.should("l1.evict_storm"):
-            evicted = self._evict_prefetch_storm()
-            self._faults.record(
-                "l1.evict_storm", now, self._sm_id,
-                "evicted %d prefetched lines" % evicted,
-            )
-        resident = self._store.lookup(line_addr)
-        if resident is None and self._side_buffer is not None:
-            resident = self._side_buffer.lookup(line_addr)
-        if resident is not None:
-            # Already cached: the prediction was correct — remember it so the
-            # demand access counts toward coverage (the paper's metric counts
-            # correctly predicted addresses, §4).
-            resident.predicted = True
-            self.stats.prefetch.dropped_duplicate += 1
-            if self._obs.enabled:
-                self._obs.emit(
-                    PrefetchDropEvent(
-                        cycle=now, sm_id=self._sm_id, line_addr=line_addr,
-                        reason="duplicate",
-                    )
-                )
-            return False
-        inflight = self._mshr.lookup(line_addr)
-        if inflight is not None:
-            inflight.predicted = True
-            self.stats.prefetch.dropped_duplicate += 1
-            if self._obs.enabled:
-                self._obs.emit(
-                    PrefetchDropEvent(
-                        cycle=now, sm_id=self._sm_id, line_addr=line_addr,
-                        reason="duplicate",
-                    )
-                )
-            return False
-        # Leave headroom for demand misses: prefetches may not take the last
-        # quarter of the MSHR nor the last miss-queue slot.
-        mshr_cap = max(1, (self.config.mshr_entries * 3) // 4)
-        queue_cap = max(1, self.config.miss_queue_depth - 1)
-        while self._miss_queue and self._miss_queue[0] <= now:
-            self._miss_queue.popleft()
-        refused = (
-            self._mshr.occupancy >= mshr_cap
-            or len(self._miss_queue) >= queue_cap
-        )
-        reason = "headroom"
-        if (
-            not refused
-            and self._faults is not None
-            and self._faults.fires(
-                "l1.mshr_refuse", now, self._sm_id, "prefetch %#x" % line_addr
-            )
-        ):
-            # Chaos l1.mshr_refuse on the best-effort path: the prefetch is
-            # simply dropped before issue, so it never reaches L2 and the
-            # cross-layer request conservation stays exact.
-            refused = True
-            reason = "fault"
-        if refused:
-            self.stats.prefetch.dropped_throttled += 1
-            if self._obs.enabled:
-                self._obs.emit(
-                    PrefetchDropEvent(
-                        cycle=now, sm_id=self._sm_id, line_addr=line_addr,
-                        reason=reason,
-                    )
-                )
-            return False
-        fill_time = self._send_to_l2(
-            line_addr, now, is_write=False, is_prefetch=True
-        )
-        entry = self._mshr.allocate(line_addr, fill_time, is_prefetch=True)
-        if self._faults is not None and self._faults.fires(
-            "icnt.drop_fill", now, self._sm_id, "prefetch %#x" % line_addr
-        ):
-            entry.dropped = True
-        self.stats.prefetch.issued += 1
-        return True
+        return self.prefetch_batch((line_addr,), now) > 0
 
-    def prefetch_batch(self, line_addrs: List[int], now: int) -> List[bool]:
-        """Issue one trigger's whole line vector in a single pass
-        (``config.batched_issue``): duplicate/in-flight filtering, MSHR and
-        miss-queue headroom, and L2 hand-off run per line over hoisted
-        state instead of N :meth:`prefetch` round trips.  The observable
-        sequence — counters, drop events, MSHR/NoC state — is identical to
-        N sequential ``prefetch()`` calls (the retained scalar oracle),
-        pinned by property tests.  With a fault injector armed it delegates
-        to the scalar path outright so chaos RNG draws keep their order.
+    def prefetch_batch(
+        self, line_addrs: Sequence[int], now: int, pc: int = -1, depth: int = 1
+    ) -> int:
+        """Issue one prefetch request's coalesced lines at ``now``; returns
+        how many left for L2.
+
+        Per line, in order: commit due fills; drop the line as a duplicate
+        when it is already resident or in flight (remembering the
+        prediction, so the demand access counts toward coverage, §4); drop
+        it when the MSHR or miss queue lacks the headroom reserved for
+        demand misses; otherwise send it to L2.  The chaos sites
+        ``l1.evict_storm``, ``l1.mshr_refuse`` and ``icnt.drop_fill`` draw
+        at the same points of every line.  ``pc`` (the triggering load) and
+        ``depth`` (its chain distance) label the issue events.
         """
-        if self._faults is not None:
-            return [self.prefetch(line, now) for line in line_addrs]
-        self._commit_fills(now)
+        faults = self._faults
+        sm_id = self._sm_id
         store_get = self._store._flat.get
         side = self._side_buffer
         mshr = self._mshr
         mshr_get = mshr._inflight.get
         inflight_file = mshr._inflight
         fill_heap = mshr._fill_heap
+        miss_queue = self._miss_queue
         stats_pf = self.stats.prefetch
         obs = self._obs
         observing = obs.enabled
-        miss_queue = self._miss_queue
+        # Prefetches may not take the last quarter of the MSHR nor the
+        # last miss-queue slot.
         mshr_cap = max(1, (self.config.mshr_entries * 3) // 4)
         queue_cap = max(1, self.config.miss_queue_depth - 1)
-        sent: List[bool] = []
+        sent = 0
         for line_addr in line_addrs:
-            # The scalar path re-commits fills before every line; only the
-            # heap head can make that a non-no-op.
-            if fill_heap and fill_heap[0][0] <= now:
+            # _commit_fills' own early exit, inlined.
+            if (fill_heap and fill_heap[0][0] <= now) or (
+                miss_queue and miss_queue[0] <= now
+            ):
                 self._commit_fills(now)
-            resident = store_get(line_addr)
+            if faults is not None and faults.should("l1.evict_storm"):
+                faults.record(
+                    "l1.evict_storm", now, sm_id,
+                    "evicted %d prefetched lines" % self._evict_prefetch_storm(),
+                )
+            resident: Union[LineState, MSHREntry, None] = store_get(line_addr)
             if resident is None and side is not None:
                 resident = side.lookup(line_addr)
+            if resident is None:
+                resident = mshr_get(line_addr)
             if resident is not None:
                 resident.predicted = True
                 stats_pf.dropped_duplicate += 1
-                if observing:
-                    obs.emit(
-                        PrefetchDropEvent(
-                            cycle=now, sm_id=self._sm_id,
-                            line_addr=line_addr, reason="duplicate",
-                        )
+                reason = "duplicate"
+            else:
+                while miss_queue and miss_queue[0] <= now:
+                    miss_queue.popleft()
+                if len(inflight_file) >= mshr_cap or len(miss_queue) >= queue_cap:
+                    reason = "headroom"
+                elif faults is not None and faults.fires(
+                    "l1.mshr_refuse", now, sm_id, "prefetch %#x" % line_addr
+                ):
+                    # Dropped before issue: it never reaches L2, so the
+                    # cross-layer request conservation stays exact.
+                    reason = "fault"
+                else:
+                    fill_time = self._send_to_l2(
+                        line_addr, now, is_write=False, is_prefetch=True
                     )
-                sent.append(False)
-                continue
-            inflight = mshr_get(line_addr)
-            if inflight is not None:
-                inflight.predicted = True
-                stats_pf.dropped_duplicate += 1
-                if observing:
-                    obs.emit(
-                        PrefetchDropEvent(
-                            cycle=now, sm_id=self._sm_id,
-                            line_addr=line_addr, reason="duplicate",
+                    entry = mshr.allocate(line_addr, fill_time, is_prefetch=True)
+                    if faults is not None and faults.fires(
+                        "icnt.drop_fill", now, sm_id, "prefetch %#x" % line_addr
+                    ):
+                        entry.dropped = True
+                    stats_pf.issued += 1
+                    sent += 1
+                    if observing:
+                        obs.emit(
+                            PrefetchIssueEvent(
+                                cycle=now, sm_id=sm_id, pc=pc,
+                                line_addr=line_addr, depth=depth,
+                            )
                         )
-                    )
-                sent.append(False)
-                continue
-            while miss_queue and miss_queue[0] <= now:
-                miss_queue.popleft()
-            if len(inflight_file) >= mshr_cap or len(miss_queue) >= queue_cap:
+                    continue
                 stats_pf.dropped_throttled += 1
-                if observing:
-                    obs.emit(
-                        PrefetchDropEvent(
-                            cycle=now, sm_id=self._sm_id,
-                            line_addr=line_addr, reason="headroom",
-                        )
+            if observing:
+                obs.emit(
+                    PrefetchDropEvent(
+                        cycle=now, sm_id=sm_id, line_addr=line_addr,
+                        reason=reason,
                     )
-                sent.append(False)
-                continue
-            fill_time = self._send_to_l2(
-                line_addr, now, is_write=False, is_prefetch=True
-            )
-            mshr.allocate(line_addr, fill_time, is_prefetch=True)
-            stats_pf.issued += 1
-            sent.append(True)
+                )
         return sent
 
     def prefetch_trigger(
         self,
         vectors: List[List[int]],
+        depths: List[int],
         now: int,
         issue_at: int,
         throttle: "Throttle",
+        pc: int,
     ) -> None:
         """Issue a whole trigger's candidate requests — one coalesced line
-        vector per prefetch request — in a single call
-        (``config.batched_issue``).
+        vector per prefetch request, with its chain depth — at
+        ``issue_at``.
 
-        Per request the throttle still votes in sequence at ``now``, but
-        the vote is memoized: ``Throttle.allow`` is a deterministic,
-        repeat-idempotent function of (utilization, L1 occupancy, prefetch
-        backlog) at a fixed cycle, and within one trigger those inputs only
-        move when a request actually sends bytes or a fill commits — so
-        re-votes with unchanged inputs are provable no-ops, and once the
-        vote is False nothing can flip it back this trigger: every
-        remaining request drops, exactly what the scalar oracle concludes
-        one ``allow``/``prefetch()`` call at a time.  Counters, drop
-        events and MSHR/NoC state are identical to the scalar sequence
-        (pinned by property tests); telemetry runs take the scalar path in
-        the SM so event interleaving stays byte-stable.  With a fault
-        injector armed the line issue delegates to scalar :meth:`prefetch`
-        so chaos RNG draws keep their per-line cadence.
+        The throttle votes per request at ``now``, but the vote is
+        memoized: ``Throttle.allow`` is a deterministic, repeat-idempotent
+        function of (utilization, L1 occupancy, prefetch backlog) at a
+        fixed cycle, and within one trigger those inputs only move when a
+        request actually sends bytes or a fill commits — so re-votes with
+        unchanged inputs are provable no-ops, and once the vote is False
+        nothing can flip it back this trigger: every remaining request
+        drops, each with its own ``ThrottleEvent``, exactly as one
+        ``allow`` call per request would conclude (the per-request vote
+        of :mod:`repro.reference` pins this).
         """
-        stats_pf = self.stats.prefetch
         pf_store = self._pf_store
         req_util = self._icnt_req.measured_utilization
         resp_util = self._icnt_resp.measured_utilization
         allow = throttle.allow
+        prefetch_batch = self.prefetch_batch
         utilization = 0.0
         need_vote = True
         sent_since_vote = True
         last_occ = -1
         last_unused = -1
-        if self._faults is not None:
-            prefetch = self.prefetch
-            for index, vector in enumerate(vectors):
-                if sent_since_vote:
-                    utilization = 0.5 * (req_util(now) + resp_util(now))
-                elif (
-                    pf_store._occupancy != last_occ
-                    or pf_store._prefetch_unused != last_unused
-                ):
-                    need_vote = True  # fills committed: space inputs moved
-                if need_vote:
-                    if not allow(now, self, utilization):
-                        stats_pf.dropped_throttled += len(vectors) - index
-                        return
-                    last_occ = pf_store._occupancy
-                    last_unused = pf_store._prefetch_unused
-                    need_vote = False
-                    sent_since_vote = False
-                # Every line must reach prefetch() so chaos RNG draws keep
-                # their cadence — no short-circuit on first send.
-                if True in [prefetch(line, issue_at) for line in vector]:
-                    need_vote = True
-                    sent_since_vote = True
-            return
-
-        store_get = self._store._flat.get
-        side = self._side_buffer
-        mshr = self._mshr
-        mshr_get = mshr._inflight.get
-        inflight_file = mshr._inflight
-        fill_heap = mshr._fill_heap
-        obs = self._obs
-        observing = obs.enabled
-        miss_queue = self._miss_queue
-        mshr_cap = max(1, (self.config.mshr_entries * 3) // 4)
-        queue_cap = max(1, self.config.miss_queue_depth - 1)
         for index, vector in enumerate(vectors):
             if sent_since_vote:
                 utilization = 0.5 * (req_util(now) + resp_util(now))
@@ -736,70 +636,34 @@ class UnifiedL1Cache:
                 need_vote = True  # fills committed: space inputs moved
             if need_vote:
                 if not allow(now, self, utilization):
-                    stats_pf.dropped_throttled += len(vectors) - index
+                    self.throttled(
+                        now, throttle, utilization, len(vectors) - index
+                    )
                     return
                 last_occ = pf_store._occupancy
                 last_unused = pf_store._prefetch_unused
                 need_vote = False
                 sent_since_vote = False
-            sent_any = False
-            for line_addr in vector:
-                # The scalar path commits fills before every line; this
-                # guard replicates _commit_fills' own early-exit inline.
-                if (fill_heap and fill_heap[0][0] <= issue_at) or (
-                    miss_queue and miss_queue[0] <= issue_at
-                ):
-                    self._commit_fills(issue_at)
-                resident = store_get(line_addr)
-                if resident is None and side is not None:
-                    resident = side.lookup(line_addr)
-                if resident is not None:
-                    resident.predicted = True
-                    stats_pf.dropped_duplicate += 1
-                    if observing:
-                        obs.emit(
-                            PrefetchDropEvent(
-                                cycle=issue_at, sm_id=self._sm_id,
-                                line_addr=line_addr, reason="duplicate",
-                            )
-                        )
-                    continue
-                inflight = mshr_get(line_addr)
-                if inflight is not None:
-                    inflight.predicted = True
-                    stats_pf.dropped_duplicate += 1
-                    if observing:
-                        obs.emit(
-                            PrefetchDropEvent(
-                                cycle=issue_at, sm_id=self._sm_id,
-                                line_addr=line_addr, reason="duplicate",
-                            )
-                        )
-                    continue
-                while miss_queue and miss_queue[0] <= issue_at:
-                    miss_queue.popleft()
-                if (
-                    len(inflight_file) >= mshr_cap
-                    or len(miss_queue) >= queue_cap
-                ):
-                    stats_pf.dropped_throttled += 1
-                    if observing:
-                        obs.emit(
-                            PrefetchDropEvent(
-                                cycle=issue_at, sm_id=self._sm_id,
-                                line_addr=line_addr, reason="headroom",
-                            )
-                        )
-                    continue
-                fill_time = self._send_to_l2(
-                    line_addr, issue_at, is_write=False, is_prefetch=True
-                )
-                mshr.allocate(line_addr, fill_time, is_prefetch=True)
-                stats_pf.issued += 1
-                sent_any = True
-            if sent_any:
+            if prefetch_batch(vector, issue_at, pc, depths[index]):
                 need_vote = True
                 sent_since_vote = True
+
+    def throttled(
+        self, now: int, throttle: "Throttle", utilization: float, count: int
+    ) -> None:
+        """Account ``count`` prefetch requests the throttle refused."""
+        self.stats.prefetch.dropped_throttled += count
+        if self._obs.enabled:
+            reason = (
+                "bandwidth" if getattr(throttle, "bw_halted", False) else "space"
+            )
+            for _ in range(count):
+                self._obs.emit(
+                    ThrottleEvent(
+                        cycle=now, sm_id=self._sm_id, reason=reason,
+                        utilization=utilization,
+                    )
+                )
 
     def _evict_prefetch_storm(self) -> int:
         """Chaos l1.evict_storm: flush every still-prefetch-flagged line

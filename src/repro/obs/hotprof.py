@@ -3,27 +3,30 @@
 ``snake-repro profile --hot`` answers a different question than the
 cycle-domain telemetry in this package: not "where do the *simulated*
 cycles go" but "where does the *host's* wall time go".  It wraps the
-four hot components the batched-path work optimises (see
+outermost entry point of each of the four hot components (see
 docs/PERFORMANCE.md, "The batched hot path"):
 
-* ``table-walk`` — the learner side: ``observe`` / ``observe_raw``
-  (Head-table update, Tail CAM search, chain walk, request generation);
-* ``issue``      — the L1 prefetch admission path
-  (``prefetch_trigger`` / ``prefetch_batch`` / ``prefetch``);
+* ``table-walk`` — the learner side: ``observe_raw`` (or ``observe`` for
+  mechanisms without the raw lane) — Head-table update, Tail CAM search,
+  chain walk, request generation;
+* ``issue``      — the L1 prefetch admission path, ``prefetch_trigger``
+  (throttle vote plus the per-line ``prefetch_batch`` loop it calls);
 * ``coalesce``   — warp-access-to-line flattening
   (``coalesce`` / ``coalesce_lines`` / ``coalesce_sectors``);
 * ``cache``      — the demand side (``demand_load`` / ``demand_store``).
 
-The buckets are disjoint by construction: the learner never calls into
-the L1, the issue path receives already-coalesced lines, and demand
+The buckets are disjoint by construction: each wrapped method is an
+entry point the SM calls directly, none of them calls another wrapped
+method, the issue path receives already-coalesced lines, and demand
 traffic bypasses all three others.  Whatever they do not cover is
 reported as ``other`` (scheduling, the event core, trace bookkeeping).
 
 Like :mod:`repro.bench`, this module lives in the wall-clock domain —
 ``time.perf_counter`` is the measurement, so it sits outside the SL101
-determinism-lint scope.  The instrumentation itself costs a few percent
-(one counter read per wrapped call); the table reports shares, which
-are robust to that overhead, rather than absolute promises.
+determinism-lint scope.  The instrumentation is not free (two counter
+reads and a Python-level call per wrapped call; docs/OBSERVABILITY.md
+gives the measured ratio to a plain run), so the table reports shares
+rather than absolute promises.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from typing import Any, Callable, Dict, List, Tuple
 
 #: Attribution bucket -> the (component, method) pairs that feed it.
 HOT_BUCKETS: Tuple[Tuple[str, str], ...] = (
-    ("table-walk", "prefetcher.observe / observe_raw"),
-    ("issue", "l1.prefetch_trigger / prefetch_batch / prefetch"),
+    ("table-walk", "prefetcher.observe_raw (or observe)"),
+    ("issue", "l1.prefetch_trigger"),
     ("coalesce", "sm.coalesce / coalesce_lines / coalesce_sectors"),
     ("cache", "l1.demand_load / demand_store"),
 )
@@ -117,9 +120,9 @@ class HotProfile:
 class _Meter:
     """Wraps one bound method; adds its wall time to a bucket.
 
-    Timer overhead inside nested wrapped calls would double-count, but
-    the wrapped components never call each other (module docstring), so
-    plain additive accounting is exact up to counter-read cost.
+    Nested wrapped calls would double-count, so only entry points that
+    never call each other are wrapped (module docstring); plain additive
+    accounting is then exact up to counter-read cost.
     """
 
     def __init__(self, bucket: HotBucket, func: Callable[..., Any]) -> None:
@@ -148,14 +151,11 @@ def hot_profile_run(
     mechanism: str = "snake",
     scale: float = 1.0,
     seed: int = 1,
-    legacy_loop: bool = False,
 ) -> HotProfile:
     """Run one workload with the hot components instrumented.
 
-    Telemetry stays *off*: the observability bus reroutes the issue path
-    through its scalar event-interleaved lane, which is exactly the code
-    this profile exists to attribute.  Module-level coalesce helpers are
-    patched for the duration of the run and always restored.
+    Module-level coalesce helpers are patched for the duration of the run
+    and always restored.
     """
     from repro.gpusim import sm as sm_module
     from repro.gpusim.config import GPUConfig
@@ -163,8 +163,7 @@ def hot_profile_run(
     from repro.prefetch import build_setup
     from repro.workloads import build_kernel
 
-    config = GPUConfig.scaled().with_(legacy_loop=legacy_loop)
-    setup = build_setup(mechanism, config)
+    setup = build_setup(mechanism, GPUConfig.scaled())
     kernel = build_kernel(app, scale=scale, seed=seed)
     gpu = GPU(
         config=setup.config,
@@ -176,15 +175,14 @@ def hot_profile_run(
     buckets = [HotBucket(name, what) for name, what in HOT_BUCKETS]
     walk, issue, coalesce, cache = buckets
     for core in gpu.sms:
-        _wrap(core.prefetcher, "observe", walk)
-        _wrap(core.prefetcher, "observe_raw", walk)
         # The SM probes the raw lane once at construction; repoint it at
         # the wrapper (or the probe bypasses the meter entirely).
         if core._pf_observe_raw is not None:
+            _wrap(core.prefetcher, "observe_raw", walk)
             core._pf_observe_raw = core.prefetcher.observe_raw
+        else:
+            _wrap(core.prefetcher, "observe", walk)
         _wrap(core.l1, "prefetch_trigger", issue)
-        _wrap(core.l1, "prefetch_batch", issue)
-        _wrap(core.l1, "prefetch", issue)
         _wrap(core.l1, "demand_load", cache)
         _wrap(core.l1, "demand_store", cache)
 

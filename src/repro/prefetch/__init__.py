@@ -80,7 +80,6 @@ def _snake_factory(config: GPUConfig, **flags):
             tail_entries=config.tail_entries,
             train_threshold=config.train_threshold,
             max_chain_depth=config.max_chain_depth,
-            batched=config.batched_tables,
             **flags,
         )
 

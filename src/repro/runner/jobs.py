@@ -118,14 +118,9 @@ class JobSpec:
 
 def engine_fingerprint(spec: JobSpec) -> dict:
     """The *implementation* identity a result depends on, beyond the
-    spec's own knobs: which timing loop simulated it (the skip-ahead
-    event core and the ``legacy_loop`` reference are cycle-identical by
-    contract, but a checkpoint must never silently mix results from the
-    two implementations) and the bench schema version (bumped when the
-    recorded performance surface is reinterpreted)."""
-    config_dict = spec.config or {}
-    loop = "legacy" if config_dict.get("legacy_loop") else "skip-ahead"
-    return {"loop": loop, "bench_schema": BENCH_SCHEMA_VERSION}
+    spec's own knobs: the bench schema version (bumped when the recorded
+    performance surface is reinterpreted)."""
+    return {"bench_schema": BENCH_SCHEMA_VERSION}
 
 
 def job_hash(spec: JobSpec) -> str:

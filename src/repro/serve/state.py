@@ -77,35 +77,21 @@ class ServeConfig:
 
 def peek_predictions(learner: SnakePrefetcher,
                      event: AccessEvent) -> List[int]:
-    """Read-only prediction from a Snake learner.
-
-    Mirrors :meth:`SnakePrefetcher.observe`'s generation half (chains,
-    intra-warp, inter-warp, chain-first dedup) without the detection
-    half.  The Tail CAM's lookup counter is restored afterwards because
-    it is serialized into the snapshot — a predict must not move the
-    state digest.
+    """Read-only prediction from a Snake learner: the generation half of
+    :meth:`SnakePrefetcher.observe` (chains, intra-warp, inter-warp,
+    chain-first dedup) without the detection half.  The Tail CAM's lookup
+    counter is restored afterwards because it is serialized into the
+    snapshot — a predict must not move the state digest.
     """
     if learner.per_app and event.app_id not in learner._app_tables:
         return []
     learner._select_app(event.app_id)
     saved = learner.tail.lookups
     try:
-        requests = []
-        if learner.use_chains:
-            requests.extend(learner._chain_requests(event))
-        if learner.use_intra:
-            requests.extend(learner._intra_requests(event))
-        if learner.use_inter_warp:
-            requests.extend(learner._inter_warp_requests(event))
+        pairs = learner._generate_raw(event)
     finally:
         learner.tail.lookups = saved
-    seen = set()
-    out: List[int] = []
-    for request in requests:
-        if request.base_addr not in seen:
-            seen.add(request.base_addr)
-            out.append(request.base_addr)
-    return out
+    return [addr for addr, _depth in pairs]
 
 
 class StrideFallback:

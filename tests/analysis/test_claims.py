@@ -37,3 +37,26 @@ class TestClaimsRun:
             r for s, r in results.items() if "448" in s
         )
         assert table3.holds
+
+
+class TestClaimsExitCode:
+    """``snake-repro claims`` is a gate: any deviation fails the command."""
+
+    def _run_with(self, monkeypatch, second_holds):
+        from repro.analysis import claims
+        from repro.cli import main
+
+        results = [
+            ClaimResult(claim=CLAIMS[0], holds=True, measured="x"),
+            ClaimResult(claim=CLAIMS[1], holds=second_holds, measured="y"),
+        ]
+        monkeypatch.setattr(claims, "check_claims", lambda scale, seed: results)
+        return main(["claims", "--scale", "0.25", "--seed", "1"])
+
+    def test_one_deviation_exits_one(self, monkeypatch, capsys):
+        assert self._run_with(monkeypatch, second_holds=False) == 1
+        assert "DEVIATION" in capsys.readouterr().out
+
+    def test_all_holding_exits_zero(self, monkeypatch, capsys):
+        assert self._run_with(monkeypatch, second_holds=True) == 0
+        assert "2/2 claims hold" in capsys.readouterr().out

@@ -42,14 +42,6 @@ class TestSuite:
             result["legacy_wall_s"] / result["wall_s"], rel=0.02
         )
 
-    def test_run_case_legacy_primary_skips_reference(self):
-        result = run_case(TINY[0], loop="legacy")
-        assert result["speedup_vs_legacy"] == 1.0
-
-    def test_run_case_rejects_unknown_loop(self):
-        with pytest.raises(ValueError):
-            run_case(TINY[0], loop="warp")
-
     def test_run_suite_payload_is_schema_valid(self):
         payload = run_suite(cases=TINY, generated="2026-01-01")
         assert validate_payload(payload) == []

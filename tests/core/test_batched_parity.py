@@ -1,14 +1,14 @@
-"""Property tests pinning the batched hot path to its scalar oracles.
+"""Property tests pinning the batched hot path to the reference model.
 
-The batched lanes (``HeadTable.update_batch``, ``TailTable.walk_raw``
-under ``SnakePrefetcher(batched=True)``, ``observe_raw`` /
-``observe_batch``, and the SM/L1 ``prefetch_trigger`` issue path behind
-``GPUConfig.batched_issue``) are pure performance refactors: every one
-retains its scalar predecessor as a differential oracle, and these
-tests are the pin — hypothesis-generated access streams, seeds and
-chain shapes (including forced Tail evictions and the fault injector's
-in-field corruption modes) must produce identical predictions, table
-state and statistics on both paths.
+The batched lanes (``HeadTable.update_batch``, ``TailTable.walk_raw``,
+``observe_raw`` / ``observe_batch``, and the SM/L1 ``prefetch_trigger``
+issue path) are pure performance work: :mod:`repro.reference` keeps the
+scalar reading of each (``ReferenceSnake``'s per-hop CAM walk, the
+per-request throttle vote and issue), and these tests are the pin —
+hypothesis-generated access streams, seeds and chain shapes (including
+forced Tail evictions and the fault injector's in-field corruption
+modes) must produce identical predictions, table state, statistics and
+telemetry on both.
 """
 
 import random
@@ -18,8 +18,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core.head_table import HeadTable
 from repro.core.snake import SnakePrefetcher
 from repro.core.tail_table import TrainState
+from repro import reference
 from repro.gpusim import GPUConfig, simulate
 from repro.gpusim.trace import CTA, KernelTrace, Op, WarpInstr, WarpTrace, renumber_warps
+from repro.obs import EventBus
+from repro.obs.events import Sink
 from repro.prefetch.base import AccessEvent
 
 
@@ -54,14 +57,14 @@ def _stream(seed, length, pcs, warps, chain_shape):
 
 
 def _make_pair(tail_entries, depth):
-    """(batched, scalar-oracle) learners with otherwise identical knobs."""
+    """(production, reference) learners with identical knobs."""
     kwargs = dict(
         head_entries=8, tail_entries=tail_entries, train_threshold=2,
         max_chain_depth=depth,
     )
     return (
-        SnakePrefetcher(batched=True, **kwargs),
-        SnakePrefetcher(batched=False, **kwargs),
+        SnakePrefetcher(**kwargs),
+        reference.ReferenceSnake(**kwargs),
     )
 
 
@@ -86,9 +89,9 @@ class TestLearnerParity:
     @given(params=STREAMS, tail_entries=st.integers(2, 24),
            depth=st.integers(1, 12))
     def test_observe_matches_scalar_oracle(self, params, tail_entries, depth):
-        """batched=True vs batched=False: identical predictions, lookup
+        """Production vs reference walk: identical predictions, lookup
         accounting and table state — small Tail capacities force eviction
-        interleavings, large ones cross the vectorized-walk threshold."""
+        interleavings, large ones fill PC buckets."""
         events = _stream(*params)
         batched, scalar = _make_pair(tail_entries, depth)
         for event in events:
@@ -175,7 +178,7 @@ class TestLearnerParity:
         """The fault injector's in-field Tail corruptions (stale stride,
         scrambled warp vector, spurious promotion), applied identically
         to both learners mid-stream, must not desynchronize the paths —
-        the batched walk reads the same corrupted state the scalar CAM
+        the one-call walk reads the same corrupted state the per-hop CAM
         scan does."""
         events = _stream(*params)
         batched, scalar = _make_pair(tail_entries, 8)
@@ -193,7 +196,6 @@ class TestLearnerParity:
                         entry.warp_vector = scrambled
                     else:
                         entry.t1 = TrainState.TRAINED
-                    learner.tail.mark_dirty()
             got = [(r.base_addr, r.depth) for r in batched.observe(event)]
             want = [(r.base_addr, r.depth) for r in scalar.observe(event)]
             assert got == want
@@ -203,16 +205,12 @@ class TestLearnerParity:
     @given(params=STREAMS, tail_entries=st.integers(2, 24))
     def test_snapshot_roundtrip_preserves_batched_state(self, params,
                                                         tail_entries):
-        """snapshot -> restore -> snapshot is byte-stable for the
-        numpy-backed tables, and a restored learner continues the stream
-        exactly like the original (both lanes)."""
+        """snapshot -> restore -> snapshot is byte-stable, and a restored
+        learner continues the stream exactly like the original (the
+        production learner and the reference one)."""
         events = _stream(*params)
         half = len(events) // 2
-        for batched in (True, False):
-            learner = SnakePrefetcher(
-                head_entries=8, tail_entries=tail_entries,
-                train_threshold=2, batched=batched,
-            )
+        for learner in _make_pair(tail_entries, 8):
             for event in events[:half]:
                 learner.observe(event)
             image = learner.snapshot()
@@ -249,27 +247,28 @@ def _small_kernel(seed):
     return KernelTrace(name="batched-parity", ctas=ctas)
 
 
-class TestSimulatorFlagParity:
-    """The end-to-end pin: flipping the batched-path config flags must
-    leave every simulated statistic untouched — the scalar paths exist
-    as oracles, not alternatives."""
+class _Recorder(Sink):
+    def __init__(self):
+        self.events = []
+
+    def accept(self, event):
+        self.events.append(event)
+
+
+class TestSimulatorReferenceParity:
+    """The end-to-end pin: the production simulator and the reference
+    model must agree on every simulated statistic and on the whole
+    telemetry stream, event by event."""
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**31),
-           mech=st.sampled_from(["snake", "s-snake", "intra"]))
-    def test_batched_flags_do_not_move_stats(self, seed, mech):
+           mech=st.sampled_from(["snake", "s-snake", "intra", "snake+cta"]))
+    def test_production_matches_reference_model(self, seed, mech):
         kernel = _small_kernel(seed)
-        reference = None
-        for tables in (True, False):
-            for issue in (True, False):
-                config = GPUConfig().with_(
-                    batched_tables=tables, batched_issue=issue
-                )
-                stats = simulate(kernel, prefetcher=mech, config=config)
-                if reference is None:
-                    reference = stats
-                else:
-                    assert stats == reference, (
-                        "stats diverged with batched_tables=%s "
-                        "batched_issue=%s" % (tables, issue)
-                    )
+        runs = []
+        for run in (simulate, reference.simulate):
+            recorder = _Recorder()
+            stats = run(kernel, prefetcher=mech, config=GPUConfig(),
+                        obs=EventBus([recorder]))
+            runs.append((stats, recorder.events))
+        assert runs[0] == runs[1]

@@ -95,17 +95,54 @@ class TestPrefetchFootprint:
         sm = make_sm(config, prefetcher=OneShot())
         original = sm.l1.prefetch_trigger
 
-        def spy(vectors, now, issue_at, throttle):
+        def spy(vectors, depths, now, issue_at, throttle, pc):
             issued_at.extend(
                 (line, issue_at) for vector in vectors for line in vector
             )
-            return original(vectors, now, issue_at, throttle)
+            return original(vectors, depths, now, issue_at, throttle, pc)
 
         sm.l1.prefetch_trigger = spy
         load = WarpInstr(pc=1, op=Op.LOAD, base_addr=0, thread_stride=0)
         sm.enqueue_cta(cta_of([load]))
         sm.run()
         assert issued_at and issued_at[0][1] == 7  # trigger at cycle 0 + latency
+
+
+class TestTelemetryLane:
+    def test_telemetry_on_run_issues_through_prefetch_trigger(self):
+        """Watching a run must not change its code path: with a bus
+        attached, Snake's predictions still go through the one-call
+        trigger issue, and the stats equal an unobserved run's."""
+        from repro.gpusim.gpu import GPU
+        from repro.obs import EventBus, PCMetricsSink
+        from repro.prefetch import build_setup
+        from repro.workloads import build_kernel
+
+        results = []
+        for obs in (None, EventBus([PCMetricsSink()])):
+            setup = build_setup("snake", GPUConfig.scaled())
+            gpu = GPU(
+                config=setup.config,
+                prefetcher_factory=setup.prefetcher_factory,
+                throttle_factory=setup.throttle_factory,
+                storage_mode=setup.storage_mode,
+                obs=obs,
+            )
+            calls = []
+            for core in gpu.sms:
+                original = core.l1.prefetch_trigger
+
+                def spy(*args, _original=original, **kwargs):
+                    calls.append(args[0])
+                    return _original(*args, **kwargs)
+
+                core.l1.prefetch_trigger = spy
+            stats = gpu.run(build_kernel("lps", scale=0.2, seed=11))
+            results.append((stats, len(calls)))
+        (plain, plain_calls), (traced, traced_calls) = results
+        assert traced_calls > 0
+        assert traced_calls == plain_calls
+        assert traced == plain
 
 
 class TestAppTagging:

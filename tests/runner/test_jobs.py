@@ -69,24 +69,13 @@ class TestJobHash:
 
 class TestEngineFingerprint:
     """Results depend on the simulating *implementation* too: a
-    checkpoint produced by the legacy loop must never be reused for a
-    skip-ahead job (and vice versa), and a bench-schema bump invalidates
-    recorded performance identities."""
+    bench-schema bump invalidates recorded performance identities."""
 
     def test_default_is_skip_ahead(self):
+        """The skip-ahead core is the only engine, so the fingerprint no
+        longer names a loop."""
         spec = JobSpec.make("lps", "snake")
-        assert engine_fingerprint(spec)["loop"] == "skip-ahead"
-        assert engine_fingerprint(spec)["bench_schema"] == BENCH_SCHEMA_VERSION
-
-    def test_legacy_loop_changes_the_hash(self):
-        event = JobSpec.make(
-            "lps", "snake", config=GPUConfig.scaled().with_(legacy_loop=False)
-        )
-        legacy = JobSpec.make(
-            "lps", "snake", config=GPUConfig.scaled().with_(legacy_loop=True)
-        )
-        assert engine_fingerprint(legacy)["loop"] == "legacy"
-        assert job_hash(event) != job_hash(legacy)
+        assert engine_fingerprint(spec) == {"bench_schema": BENCH_SCHEMA_VERSION}
 
 
 class TestExecuteJob:

@@ -38,7 +38,7 @@ CLI_SURFACE = {
     "chaos": ("--sites", "--delay-cycles", "--runner", "--runner-jobs"),
     "lint": ("--rule", "--baseline", "--json", "--update-baseline",
              "--sarif", "--changed"),
-    "bench": ("--quick", "--check", "--tolerance", "--legacy-loop"),
+    "bench": ("--quick", "--check", "--tolerance"),
     "serve": ("--loadgen", "--chaos", "--queue-depth", "--deadline",
               "--frame-timeout", "--idle-timeout", "--snapshot-every",
               "--fsync", "--max-sessions", "--chaos-seed", "--no-kill"),
