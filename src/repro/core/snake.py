@@ -18,9 +18,7 @@ only the chains; decoupling/throttling are composed at the GPU level (see
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.obs.events import ChainWalkEvent
 from repro.prefetch.base import AccessEvent, Prefetcher, PrefetchRequest
@@ -112,20 +110,14 @@ class SnakePrefetcher(Prefetcher):
     # Detection (§3.1)
 
     def _detect(self, event: AccessEvent) -> None:
+        """Train the tables on one access: the Head-table transition feeds
+        the Tail table's chain links, then the intra-warp and inter-warp
+        stride detectors run."""
         transition = self.head.update(event.warp_id, event.pc, event.base_addr)
-        self._train_tail(
-            event,
-            transition.pc1 if transition is not None else 0,
-            transition.stride if transition is not None else None,
-        )
-
-    def _train_tail(
-        self, event: AccessEvent, pc1: int, stride: Optional[int]
-    ) -> None:
-        """Tail-side training for one access, given the Head-table
-        transition (``stride is None`` when the warp had no previous load)."""
-        if stride is not None and stride != 0:
-            self.tail.record(event.warp_id, pc1, event.pc, stride)
+        if transition is not None and transition.stride != 0:
+            self.tail.record(
+                event.warp_id, transition.pc1, event.pc, transition.stride
+            )
 
         if self.use_intra:
             key = (event.app_id, event.warp_id, event.pc)
@@ -244,49 +236,12 @@ class SnakePrefetcher(Prefetcher):
     def observe_batch(
         self, events: Sequence[AccessEvent]
     ) -> List[List[PrefetchRequest]]:
-        """Train and predict for a whole batch of accesses in one sweep.
+        """:meth:`observe` for each event, in order.
 
-        The Head-table updates for the entire batch run as one vectorized
-        ``update_batch`` call; Tail training and chain walks then proceed
-        per event in input order, so the learner state, ``lookups``
-        accounting, and every prediction list are identical to N sequential
-        :meth:`observe` calls (the serve digest-parity property).  Falls
-        back to the sequential path for per-app table routing or inputs the
-        int64 fast path cannot represent.
+        The repository benchmark (``perfbench/tracer.py``) wraps this
+        method by name, so it stays as a loop over :meth:`observe`.
         """
-        if self.per_app or not events:
-            return [self.observe(event) for event in events]
-        n = len(events)
-        try:
-            warps = np.fromiter(
-                (e.warp_id for e in events), dtype=np.int64, count=n
-            )
-            pcs = np.fromiter((e.pc for e in events), dtype=np.int64, count=n)
-            addrs = np.fromiter(
-                (e.base_addr for e in events), dtype=np.int64, count=n
-            )
-        except OverflowError:
-            return [self.observe(event) for event in events]
-        pc1s, strides, valid = self.head.update_batch(warps, pcs, addrs)
-        valid_l = valid.tolist()
-        pc1s_l = pc1s.tolist()
-        strides_l = strides.tolist()
-        results: List[List[PrefetchRequest]] = []
-        for i, event in enumerate(events):
-            if event.divergent:
-                # Head entry already advanced by the batch update.
-                results.append([])
-                continue
-            self._train_tail(
-                event,
-                int(pc1s_l[i]),
-                int(strides_l[i]) if valid_l[i] else None,
-            )
-            results.append([
-                PrefetchRequest(base_addr=addr, depth=depth)
-                for addr, depth in self._generate_raw(event)
-            ])
-        return results
+        return [self.observe(event) for event in events]
 
     def tables(self) -> List[Tuple[int, HeadTable, TailTable]]:
         """Every (app_id, head, tail) table pair this prefetcher owns —

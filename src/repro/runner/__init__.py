@@ -4,10 +4,13 @@ The paper's evaluation is a large (app x mechanism x config x scale x
 seed) grid; this package makes running it resilient — a fleet-grade
 scheduler/worker architecture:
 
-* :mod:`repro.runner.jobs` — :class:`JobSpec` (one grid cell) and the
-  deterministic :func:`job_hash` that is the cell's identity everywhere
-  (checkpoint key, dedup key, work-stealing shard key).
-* :mod:`repro.runner.scheduler` — the :class:`Scheduler`: shard queues
+* :mod:`repro.runner.jobs` — :class:`JobSpec` (one grid cell), the
+  :func:`grid_specs` cross product, and the deterministic
+  :func:`job_hash` that is the cell's identity everywhere (checkpoint
+  key, dedup key, work-stealing shard key).
+* :mod:`repro.runner.scheduler` — the :class:`Scheduler`, the one entry
+  point that runs a sweep (``jobs=0`` inline with no isolation or
+  retries, ``jobs>=1`` crash-isolated subprocess workers): shard queues
   with work stealing, expiring leases renewed by heartbeats, retry /
   ``worker-lost`` / poison-quarantine recovery, exactly-once settlement
   by job hash, and graceful SIGINT/SIGTERM drain.
@@ -18,9 +21,6 @@ scheduler/worker architecture:
   workers; socket-shaped for a future distributed plane).
 * :mod:`repro.runner.worker` — the worker-process claim/execute/report
   loop and its heartbeat thread.
-* :mod:`repro.runner.pool` — the stable facade: :func:`run_jobs` /
-  :func:`run_grid` with the legacy inline (``jobs=0``) and subprocess
-  (``jobs>=1``) semantics.
 * :mod:`repro.runner.checkpoint` — atomic JSONL checkpointing, the
   ``--resume`` semantics, and torn-line quarantine.
 * :mod:`repro.runner.errors` — the structured error taxonomy
@@ -51,10 +51,16 @@ from .errors import (
     WorkerLost,
     is_retryable,
 )
-from .jobs import JobSpec, engine_fingerprint, execute_job, job_hash, shard_of
+from .jobs import (
+    JobSpec,
+    engine_fingerprint,
+    execute_job,
+    grid_specs,
+    job_hash,
+    shard_of,
+)
 from .leases import Lease, LeaseTable
-from .pool import SweepResult, default_jobs, grid_specs, run_grid, run_jobs
-from .scheduler import Scheduler
+from .scheduler import Scheduler, SweepResult, default_jobs
 from .transport import (
     InlineTransport,
     SubprocessTransport,
@@ -96,7 +102,5 @@ __all__ = [
     "grid_specs",
     "is_retryable",
     "job_hash",
-    "run_grid",
-    "run_jobs",
     "shard_of",
 ]

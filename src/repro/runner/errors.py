@@ -157,7 +157,7 @@ def error_from_kind(kind: str, message: str,
 
 
 def is_retryable(kind: str) -> bool:
-    """Retry policy from the wire kind alone (what the pool sees).  Only
+    """Retry policy from the wire kind alone (what the scheduler sees).  Only
     known-transient kinds retry; anything unrecognized — including every
     ``invariant:<name>`` — is presumed deterministic and fails fast."""
     if kind.startswith("invariant:"):

@@ -24,7 +24,9 @@ import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Optional, Tuple, Union
+from typing import (
+    Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.bench.schema import BENCH_SCHEMA_VERSION
 from repro.gpusim import GPUConfig, SimStats
@@ -114,6 +116,31 @@ class JobSpec:
     def label(self) -> str:
         extra = ",".join("%s=%s" % kv for kv in self.mech_kwargs)
         return "%s/%s%s" % (self.app, self.mechanism, "[%s]" % extra if extra else "")
+
+
+def grid_specs(
+    apps: Sequence[str],
+    mechanisms: Sequence[str],
+    *,
+    config: Union[GPUConfig, Mapping[str, Any], None] = None,
+    scale: float = 1.0,
+    seed: int = 1,
+    faults: Optional[Dict[Tuple[str, str], str]] = None,
+) -> List[JobSpec]:
+    """The (app x mechanism) cross product as job specs.
+
+    ``faults`` optionally maps ``(app, mechanism)`` to a chaos fault for
+    the resilience tests.
+    """
+    faults = faults or {}
+    return [
+        JobSpec.make(
+            app, mech, config=config, scale=scale, seed=seed,
+            fault=faults.get((app, mech)),
+        )
+        for app in apps
+        for mech in mechanisms
+    ]
 
 
 def engine_fingerprint(spec: JobSpec) -> dict:
@@ -206,7 +233,7 @@ def execute_job(spec: JobSpec) -> SimStats:
     """Run one job to completion in the current process.
 
     Raises the typed taxonomy errors (:class:`InvalidConfig`,
-    :class:`SimulationHang`) — the process-pool worker forwards them over
+    :class:`SimulationHang`) — the subprocess worker forwards them over
     its pipe; inline callers catch them directly.
     """
     from repro.prefetch import build_setup
@@ -245,4 +272,11 @@ def execute_job(spec: JobSpec) -> SimStats:
             ) from exc
 
 
-__all__ = ["JobSpec", "engine_fingerprint", "execute_job", "job_hash", "shard_of"]
+__all__ = [
+    "JobSpec",
+    "engine_fingerprint",
+    "execute_job",
+    "grid_specs",
+    "job_hash",
+    "shard_of",
+]

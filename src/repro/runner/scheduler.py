@@ -58,6 +58,7 @@ within ``drain_timeout_s``, flushes the checkpoint and returns a
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -97,9 +98,14 @@ Outcome = Union[SimStats, FailedResult]
 OnResult = Callable[[str, JobSpec, object], None]
 
 
+def default_jobs() -> int:
+    """A conservative worker-count default for the CLI."""
+    return max(1, min(4, (os.cpu_count() or 2) - 1))
+
+
 @dataclass
 class SweepResult:
-    """Outcome of one scheduler run (or :func:`repro.runner.pool.run_jobs`).
+    """Outcome of one scheduler run.
 
     ``results`` maps job hash -> ``SimStats`` | :class:`FailedResult`;
     ``specs`` maps the same hashes back to their specs.  ``executed`` /
@@ -183,7 +189,7 @@ class Scheduler:
         self._faults = faults
         if lease_s is None:
             # Inline virtual workers cannot die silently without a fault
-            # injector, so the legacy jobs=0 mode runs lease-less.
+            # injector, so the inline jobs=0 mode runs lease-less.
             lease_s = DEFAULT_LEASE_S if (jobs > 0 or faults is not None) else 0.0
         self._lease_s = float(lease_s)
         if transport is None:
@@ -660,4 +666,5 @@ __all__ = [
     "POLL_INTERVAL_S",
     "Scheduler",
     "SweepResult",
+    "default_jobs",
 ]

@@ -15,7 +15,7 @@ transport can slot in later without touching the scheduler:
 
 * :class:`InlineTransport` — virtual workers in the scheduler's own
   process; an assignment executes synchronously at the next
-  :meth:`poll`.  Zero isolation, full monkeypatchability (the legacy
+  :meth:`poll`.  Zero isolation, full monkeypatchability (the
   ``jobs=0`` mode), and — paired with :class:`VirtualClock` and a
   :class:`~repro.gpusim.faults.RunnerFaultInjector` — a deterministic,
   no-real-waiting harness for the whole lease/steal/requeue machinery.
@@ -328,9 +328,14 @@ class SubprocessTransport(Transport):
 
     def _spawn(self, worker: int) -> None:
         parent, child = self._ctx.Pipe(duplex=True)
+        # A forked worker inherits every scheduler-side pipe end open at
+        # fork time; it closes them first thing, or its own ``recv``
+        # would never see EOF once the scheduler dies.
+        inherited = [parent] + [slot.conn for slot in self._slots.values()]
         proc = self._ctx.Process(
             target=worker_main,
-            args=(worker, child, self._heartbeat_s, self._fault_plan),
+            args=(worker, child, self._heartbeat_s, self._fault_plan,
+                  inherited),
             daemon=True,
         )
         proc.start()

@@ -13,7 +13,9 @@ its job recovered through the lease machinery.
 Workers ignore ``SIGINT``: on a ^C the *scheduler* decides what happens
 (graceful drain — in-flight jobs finish and checkpoint — versus abort),
 and a worker that killed itself on the shared terminal signal would turn
-every drain into a crash storm.
+every drain into a crash storm.  ``SIGTERM`` keeps its default action,
+and a worker whose scheduler died sees EOF on its pipe and exits, so no
+worker outlives the sweep that started it.
 
 Chaos hooks (:class:`~repro.gpusim.faults.RunnerFaultPlan`): the
 ``worker.kill`` site SIGKILLs the process at a seeded lease phase —
@@ -32,7 +34,7 @@ import signal
 import threading
 import time
 import traceback
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from repro.gpusim.faults import RunnerFaultInjector, RunnerFaultPlan
 
@@ -97,10 +99,21 @@ class _HeartbeatThread(threading.Thread):
 
 
 def worker_main(worker_id: int, conn: Any, heartbeat_s: float,
-                fault_plan: Optional[Dict[str, Any]] = None) -> None:
-    """Subprocess entry: the claim/execute/report loop (see module doc)."""
+                fault_plan: Optional[Dict[str, Any]] = None,
+                inherited: Sequence[Any] = ()) -> None:
+    """Subprocess entry: the claim/execute/report loop (see module doc).
+
+    ``inherited`` are the scheduler-side pipe ends a forked worker holds
+    copies of; closing them lets ``recv`` see EOF when the scheduler
+    dies, so the worker exits instead of outliving it.
+    """
+    for other in inherited:
+        other.close()
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        # A worker forked from ``snake-repro sweep`` inherits its drain
+        # handler; the default action lets SIGTERM stop the worker.
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (OSError, ValueError):
         pass  # non-main thread in an embedded context; drain still works
     injector = (

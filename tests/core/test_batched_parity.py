@@ -1,10 +1,10 @@
 """Property tests pinning the batched hot path to the reference model.
 
-The batched lanes (``HeadTable.update_batch``, ``TailTable.walk_raw``,
-``observe_raw`` / ``observe_batch``, and the SM/L1 ``prefetch_trigger``
-issue path) are pure performance work: :mod:`repro.reference` keeps the
-scalar reading of each (``ReferenceSnake``'s per-hop CAM walk, the
-per-request throttle vote and issue), and these tests are the pin —
+The fast lanes (``TailTable.walk_raw``, ``observe_raw``, and the SM/L1
+``prefetch_trigger`` issue path) are pure performance work:
+:mod:`repro.reference` keeps the scalar reading of each
+(``ReferenceSnake``'s per-hop CAM walk, the per-request throttle vote
+and issue), and these tests are the pin —
 hypothesis-generated access streams, seeds and chain shapes (including
 forced Tail evictions and the fault injector's in-field corruption
 modes) must produce identical predictions, table state, statistics and
@@ -15,7 +15,6 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.head_table import HeadTable
 from repro.core.snake import SnakePrefetcher
 from repro.core.tail_table import TrainState
 from repro import reference
@@ -112,62 +111,6 @@ class TestLearnerParity:
             want = [(r.base_addr, r.depth) for r in scalar.observe(event)]
             assert pairs == want
         assert _table_state(raw) == _table_state(scalar)
-
-    @settings(max_examples=25, deadline=None)
-    @given(params=STREAMS, tail_entries=st.integers(2, 24),
-           chunks=st.integers(0, 2**31))
-    def test_observe_batch_matches_sequential(self, params, tail_entries,
-                                              chunks):
-        """Randomly chunked observe_batch == one observe per event."""
-        events = _stream(*params)
-        grouped, sequential = _make_pair(tail_entries, 8)
-        rng = random.Random(chunks)
-        want = [
-            [(r.base_addr, r.depth) for r in sequential.observe(e)]
-            for e in events
-        ]
-        got = []
-        i = 0
-        while i < len(events):
-            k = rng.randrange(1, 24)
-            for requests in grouped.observe_batch(events[i:i + k]):
-                got.append([(r.base_addr, r.depth) for r in requests])
-            i += k
-        assert got == want
-        assert grouped.tail.lookups == sequential.tail.lookups
-        assert _table_state(grouped) == _table_state(sequential)
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**31), capacity=st.integers(1, 12),
-           chunks=st.integers(0, 2**31))
-    def test_head_update_batch_matches_scalar(self, seed, capacity, chunks):
-        """update_batch == N update calls: same transitions, same rows,
-        LRU eviction included."""
-        rng = random.Random(seed)
-        n = rng.randrange(16, 200)
-        warps = [rng.randrange(capacity + 4) for _ in range(n)]
-        pcs = [0x10 * rng.randrange(6) for _ in range(n)]
-        addrs = [rng.randrange(1 << 40) for _ in range(n)]
-        one, batch = HeadTable(capacity), HeadTable(capacity)
-        want = []
-        for w, p, a in zip(warps, pcs, addrs):
-            t = one.update(w, p, a)
-            want.append(None if t is None else (t.pc1, t.stride))
-        got = []
-        i = 0
-        while i < n:
-            k = random.Random(chunks + i).randrange(1, 32)
-            pc1s, strides, valid = batch.update_batch(
-                warps[i:i + k], pcs[i:i + k], addrs[i:i + k]
-            )
-            for j in range(len(valid)):
-                got.append(
-                    (int(pc1s[j]), int(strides[j])) if valid[j] else None
-                )
-            i += k
-        assert got == want
-        assert one.snapshot() == batch.snapshot()
-        assert one.accesses == batch.accesses
 
     @settings(max_examples=20, deadline=None)
     @given(params=STREAMS, tail_entries=st.integers(2, 20),

@@ -75,7 +75,7 @@ class TestFigureCSVs:
         CSV) must produce byte-identical files from either model."""
         from repro.analysis import export
         from repro.analysis.experiments import figure16_from
-        from repro.runner import grid_specs, jobs, run_jobs
+        from repro.runner import Scheduler, grid_specs, jobs
 
         paths = []
         for model in ("production", "reference"):
@@ -85,7 +85,7 @@ class TestFigureCSVs:
                 ["lps", "hotspot"], ["none", "snake"],
                 config=GPUConfig.scaled(), scale=SCALE, seed=1,
             )
-            result = run_jobs(specs, jobs=0)
+            result = Scheduler(specs, jobs=0).run()
             assert result.ok
             out = tmp_path / ("fig16_%s.csv" % model)
             export.to_csv(figure16_from(result.cells()), str(out))

@@ -9,7 +9,7 @@ from repro.gpusim import GPUConfig
 from repro.runner import (
     InvariantViolation,
     JobSpec,
-    run_jobs,
+    Scheduler,
     is_retryable,
 )
 from repro.runner.errors import error_from_kind
@@ -68,10 +68,10 @@ class TestTaxonomy:
 class TestThroughTheRunner:
     def test_violation_becomes_failed_invariant_cell(self):
         with _leaky_l1():
-            result = run_jobs(
+            result = Scheduler(
                 [JobSpec.make("lps", "none", config=SANITIZED, scale=SCALE)],
                 jobs=0,
-            )
+            ).run()
         (outcome,) = result.results.values()
         assert outcome.failed
         assert outcome.kind == "invariant:mshr_balance"
@@ -80,10 +80,10 @@ class TestThroughTheRunner:
 
     def test_violations_are_not_retried(self):
         with _leaky_l1():
-            result = run_jobs(
+            result = Scheduler(
                 [JobSpec.make("lps", "none", config=SANITIZED, scale=SCALE)],
                 jobs=0, retries=3, backoff_s=0.01,
-            )
+            ).run()
         (outcome,) = result.results.values()
         assert outcome.kind.startswith("invariant:")
         assert outcome.attempts == 1
@@ -91,19 +91,19 @@ class TestThroughTheRunner:
     def test_violation_kind_survives_the_worker_pipe(self):
         # fork-based workers inherit the patched L1
         with _leaky_l1():
-            result = run_jobs(
+            result = Scheduler(
                 [JobSpec.make("lps", "none", config=SANITIZED, scale=SCALE)],
                 jobs=1,
-            )
+            ).run()
         (outcome,) = result.results.values()
         assert outcome.failed
         assert outcome.kind == "invariant:mshr_balance"
         assert outcome.state_dump["violations"]
 
     def test_healthy_sanitized_cell_still_passes(self):
-        result = run_jobs(
+        result = Scheduler(
             [JobSpec.make("lps", "snake", config=SANITIZED, scale=SCALE)],
             jobs=0,
-        )
+        ).run()
         (outcome,) = result.results.values()
         assert not getattr(outcome, "failed", False)

@@ -1,21 +1,16 @@
 """Crash-isolated parallel execution: the resilience test suite.
 
-These tests exercise *real* subprocess workers — SIGKILL'd mid-job,
-stalled past the timeout, or livelocked until the in-simulator watchdog
-fires — via the chaos ``fault`` hook on :class:`JobSpec`.
+These tests drive :class:`Scheduler` over *real* subprocess workers —
+SIGKILL'd mid-job, stalled past the timeout, or livelocked until the
+in-simulator watchdog fires — via the chaos ``fault`` hook on
+:class:`JobSpec`.
 """
 
 import time
 
 from repro.gpusim import GPUConfig
 from repro.gpusim.stats import SimStats
-from repro.runner import (
-    JobSpec,
-    grid_specs,
-    job_hash,
-    run_grid,
-    run_jobs,
-)
+from repro.runner import JobSpec, Scheduler, grid_specs
 
 SCALE = 0.05
 FAST_RETRY = dict(backoff_s=0.01)
@@ -24,8 +19,8 @@ FAST_RETRY = dict(backoff_s=0.01)
 class TestParallelCorrectness:
     def test_pooled_equals_inline(self):
         specs = grid_specs(["lps", "hotspot"], ["none", "snake"], scale=SCALE)
-        inline = run_jobs(specs, jobs=0)
-        pooled = run_jobs(specs, jobs=2)
+        inline = Scheduler(specs, jobs=0).run()
+        pooled = Scheduler(specs, jobs=2).run()
         assert inline.ok and pooled.ok
         assert set(inline.results) == set(pooled.results)
         for key in inline.results:
@@ -36,12 +31,13 @@ class TestParallelCorrectness:
 
     def test_duplicate_specs_run_once(self):
         spec = JobSpec.make("lps", "none", scale=SCALE)
-        result = run_jobs([spec, spec, spec], jobs=0)
+        result = Scheduler([spec, spec, spec], jobs=0).run()
         assert len(result.results) == 1
         assert result.executed == 1
 
     def test_cells_view_is_the_grid(self):
-        result = run_grid(["lps"], ["none", "snake"], scale=SCALE, jobs=0)
+        specs = grid_specs(["lps"], ["none", "snake"], scale=SCALE)
+        result = Scheduler(specs, jobs=0).run()
         cells = result.cells()
         assert set(cells) == {"lps"}
         assert set(cells["lps"]) == {"none", "snake"}
@@ -49,10 +45,11 @@ class TestParallelCorrectness:
 
 class TestCrashIsolation:
     def test_sigkilled_worker_loses_one_cell_not_the_sweep(self):
-        result = run_grid(
-            ["lps"], ["none", "snake"], scale=SCALE, jobs=2, retries=1,
-            faults={("lps", "snake"): "crash"}, **FAST_RETRY,
+        specs = grid_specs(
+            ["lps"], ["none", "snake"], scale=SCALE,
+            faults={("lps", "snake"): "crash"},
         )
+        result = Scheduler(specs, jobs=2, retries=1, **FAST_RETRY).run()
         crashed = result.cells()["lps"]["snake"]
         survived = result.cells()["lps"]["none"]
         assert crashed.failed
@@ -67,7 +64,7 @@ class TestCrashIsolation:
         from repro.runner import Checkpoint
 
         ckpt = Checkpoint(tmp_path / "ckpt.jsonl")
-        result = run_jobs(
+        result = Scheduler(
             [
                 JobSpec.make(
                     "lps", "none", scale=SCALE,
@@ -75,7 +72,7 @@ class TestCrashIsolation:
                 )
             ],
             jobs=1, retries=2, checkpoint=ckpt, **FAST_RETRY,
-        )
+        ).run()
         assert result.ok
         (stats,) = result.results.values()
         assert isinstance(stats, SimStats)
@@ -87,10 +84,10 @@ class TestCrashIsolation:
 class TestTimeout:
     def test_stalled_worker_is_killed_at_the_deadline(self):
         started = time.monotonic()
-        result = run_jobs(
+        result = Scheduler(
             [JobSpec.make("lps", "none", scale=SCALE, fault="sleep:60")],
             jobs=1, timeout=1.0,
-        )
+        ).run()
         elapsed = time.monotonic() - started
         (outcome,) = result.results.values()
         assert outcome.failed
@@ -99,10 +96,10 @@ class TestTimeout:
         assert elapsed < 30  # nowhere near the 60s stall
 
     def test_timeouts_are_not_retried(self):
-        result = run_jobs(
+        result = Scheduler(
             [JobSpec.make("lps", "none", scale=SCALE, fault="sleep:60")],
             jobs=1, timeout=0.5, retries=3, **FAST_RETRY,
-        )
+        ).run()
         (outcome,) = result.results.values()
         assert outcome.kind == "JobTimeout"
         assert outcome.attempts == 1
@@ -111,10 +108,11 @@ class TestTimeout:
 class TestWatchdogOverThePipe:
     def test_livelocked_simulation_fails_with_state_dump(self):
         config = GPUConfig.scaled().with_(watchdog_cycles=3_000)
-        result = run_grid(
-            ["lps"], ["none", "snake"], config=config, scale=SCALE, jobs=2,
+        specs = grid_specs(
+            ["lps"], ["none", "snake"], config=config, scale=SCALE,
             faults={("lps", "snake"): "livelock"},
         )
+        result = Scheduler(specs, jobs=2).run()
         hung = result.cells()["lps"]["snake"]
         survived = result.cells()["lps"]["none"]
         assert hung.failed
@@ -143,9 +141,9 @@ class TestObsEvents:
 
         bus = EventBus()
         recorder = bus.attach(Recorder())
-        run_jobs(
+        Scheduler(
             [JobSpec.make("lps", "none", scale=SCALE)], jobs=0, obs=bus,
-        )
+        ).run()
         runner_events = [
             e for e in recorder.events if e.kind is EventKind.RUNNER_JOB
         ]

@@ -8,7 +8,7 @@ byte-identical to an uninterrupted run.
 import pytest
 
 from repro.analysis import experiments
-from repro.runner import Checkpoint, grid_specs, run_jobs
+from repro.runner import Checkpoint, Scheduler, grid_specs
 
 SCALE = 0.05
 APPS = ["lps", "hotspot"]
@@ -36,16 +36,16 @@ class TestResume:
         path = tmp_path / "sweep.jsonl"
 
         with pytest.raises(_StopAfter):
-            run_jobs(
+            Scheduler(
                 specs, jobs=0, checkpoint=Checkpoint(path),
                 on_result=_interrupt_after(2),
-            )
+            ).run()
         # The two finished cells were durable before the interrupt.
         assert len(Checkpoint.load(path)) == 2
 
-        resumed = run_jobs(
+        resumed = Scheduler(
             specs, jobs=0, checkpoint=Checkpoint.load(path), resume=True,
-        )
+        ).run()
         assert resumed.ok
         assert resumed.reused == 2  # checkpointed cells not re-run
         assert resumed.executed == 2  # only the missing cells ran
@@ -60,16 +60,16 @@ class TestResume:
         path = tmp_path / "sweep.jsonl"
 
         with pytest.raises(_StopAfter):
-            run_jobs(
+            Scheduler(
                 specs, jobs=2, checkpoint=Checkpoint(path),
                 on_result=_interrupt_after(1),
-            )
+            ).run()
         done = len(Checkpoint.load(path))
         assert 1 <= done < len(specs)
 
-        resumed = run_jobs(
+        resumed = Scheduler(
             specs, jobs=2, checkpoint=Checkpoint.load(path), resume=True,
-        )
+        ).run()
         assert resumed.ok
         assert resumed.reused == done
         assert resumed.executed == len(specs) - done  # no duplicated jobs
@@ -80,14 +80,14 @@ class TestResume:
         path = tmp_path / "sweep.jsonl"
 
         with pytest.raises(_StopAfter):
-            run_jobs(
+            Scheduler(
                 specs, jobs=0, checkpoint=Checkpoint(path),
                 on_result=_interrupt_after(2),
-            )
-        resumed = run_jobs(
+            ).run()
+        resumed = Scheduler(
             specs, jobs=0, checkpoint=Checkpoint.load(path), resume=True,
-        )
-        uninterrupted = run_jobs(specs, jobs=0)
+        ).run()
+        uninterrupted = Scheduler(specs, jobs=0).run()
 
         assert set(resumed.results) == set(uninterrupted.results)
         for key in resumed.results:
@@ -105,8 +105,8 @@ class TestResume:
     def test_without_resume_the_checkpoint_is_discarded(self, tmp_path):
         specs = grid_specs(["lps"], ["none"], scale=SCALE)
         path = tmp_path / "sweep.jsonl"
-        run_jobs(specs, jobs=0, checkpoint=Checkpoint(path))
-        fresh = run_jobs(specs, jobs=0, checkpoint=Checkpoint.load(path))
+        Scheduler(specs, jobs=0, checkpoint=Checkpoint(path)).run()
+        fresh = Scheduler(specs, jobs=0, checkpoint=Checkpoint.load(path)).run()
         assert fresh.reused == 0
         assert fresh.executed == 1
 
@@ -115,17 +115,17 @@ class TestResume:
 
         path = tmp_path / "sweep.jsonl"
         bad = JobSpec.make("no-such-app", "none", scale=SCALE)
-        first = run_jobs([bad], jobs=0, checkpoint=Checkpoint(path))
+        first = Scheduler([bad], jobs=0, checkpoint=Checkpoint(path)).run()
         assert first.failed == 1
 
-        kept = run_jobs(
+        kept = Scheduler(
             [bad], jobs=0, checkpoint=Checkpoint.load(path), resume=True,
-        )
+        ).run()
         assert kept.reused == 1 and kept.executed == 0
         assert kept.failed == 1  # reused failure still counts as failed
 
-        retried = run_jobs(
+        retried = Scheduler(
             [bad], jobs=0, checkpoint=Checkpoint.load(path), resume=True,
             retry_failed=True,
-        )
+        ).run()
         assert retried.reused == 0 and retried.executed == 1

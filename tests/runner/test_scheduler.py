@@ -241,11 +241,11 @@ class TestDrain:
 
 
 class TestPoolParity:
-    def test_run_jobs_inline_still_never_retries(self):
-        from repro.runner import JobSpec, run_jobs
+    def test_inline_scheduler_never_retries(self):
+        from repro.runner import JobSpec
 
         spec = JobSpec.make("lps", "does-not-exist", scale=SCALE)
-        result = run_jobs([spec], jobs=0, retries=5)
+        result = Scheduler([spec], jobs=0, retries=5).run()
         (failure,) = result.results.values()
         assert failure.failed
         assert failure.kind == "InvalidConfig"

@@ -214,3 +214,56 @@ class TestSubprocessTransport:
             assert ready
         finally:
             transport.stop()
+
+    def test_workers_exit_when_the_scheduler_ends_close(self):
+        """A worker must not outlive its scheduler: once every
+        scheduler-side pipe end is closed (what the kernel does when the
+        scheduler dies), each worker's ``recv`` sees EOF and it exits.
+        A forked worker holding copies of those ends would wait forever."""
+        import time
+
+        transport = SubprocessTransport(2, lease_s=5.0)
+        transport.start()
+        try:
+            procs = [slot.proc for slot in transport._slots.values()]
+            for slot in transport._slots.values():
+                slot.conn.close()
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(
+                proc.is_alive() for proc in procs
+            ):
+                time.sleep(0.05)
+            assert [proc.is_alive() for proc in procs] == [False, False]
+        finally:
+            transport.stop()
+
+    def test_workers_do_not_inherit_a_sigterm_handler(self):
+        """``snake-repro sweep`` hooks SIGTERM for its graceful drain; a
+        forked worker must not inherit that handler and so ignore the
+        signal."""
+        import os
+        import signal
+        import time
+
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            transport = SubprocessTransport(1, lease_s=5.0)
+            transport.start()
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        try:
+            deadline = time.monotonic() + 30.0
+            ready = False
+            while time.monotonic() < deadline and not ready:
+                ready = any(
+                    m["type"] == "ready"
+                    for _, m in transport.poll(time.monotonic())
+                )
+                time.sleep(0.01)
+            assert ready
+            proc = transport._slots[0].proc
+            os.kill(proc.pid, signal.SIGTERM)
+            proc.join(timeout=5.0)
+            assert proc.exitcode == -signal.SIGTERM
+        finally:
+            transport.stop()

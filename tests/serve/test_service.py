@@ -264,6 +264,54 @@ def test_restart_recovers_byte_identical_state(tmp_path):
     assert revived.recovery.quarantined == 1
 
 
+def test_pipelined_clients_get_ordered_replies_and_a_replayable_journal(
+        tmp_path):
+    """Two clients with 64 access requests in flight each: replies come
+    back in send order, the journal's sequence numbers are contiguous,
+    and replaying the journal reaches the live state digest."""
+    import json
+    import shutil
+
+    depth = 64
+
+    async def pipeline(client, name, warp):
+        hello = await client.request({"op": "hello", "client": name})
+        assert hello["ok"]
+        for i in range(depth):
+            client.writer.write(encode_frame({
+                "op": "access", "warp": warp, "pc": 16 + 8 * (i % 2),
+                "addr": 4096 * (warp + 1) + 64 * i, "seq": i + 1,
+            }))
+        await client.writer.drain()
+        return [await asyncio.wait_for(client.read_response(), 10.0)
+                for _ in range(depth)]
+
+    async def scenario():
+        server = await _start(tmp_path)
+        clients = [await _connect(server) for _ in range(2)]
+        replies = await asyncio.gather(
+            pipeline(clients[0], "a", 0), pipeline(clients[1], "b", 1),
+        )
+        stats = await clients[0].request({"op": "stats", "digest": True})
+        journal = (tmp_path / "data" / "journal.jsonl").read_text()
+        shutil.copytree(tmp_path / "data", tmp_path / "replay")
+        for client in clients:
+            await client.close()
+        await server.stop()
+        return replies, stats, journal
+
+    replies, stats, journal = run(scenario())
+    for responses in replies:
+        assert all(r["ok"] for r in responses)
+        assert [r["seq"] for r in responses] == list(range(1, depth + 1))
+    seqs = [json.loads(line)["q"] for line in journal.splitlines()]
+    assert seqs == list(range(1, 2 * depth + 3))  # two admits + accesses
+    assert stats["seq"] == seqs[-1]
+    recovered = Journal.recover(tmp_path / "replay")
+    assert recovered.replayed == len(seqs)
+    assert recovered.state.state_digest() == stats["digest"]
+
+
 def test_serve_events_reach_the_bus(tmp_path):
     async def scenario():
         collector = _Collector()

@@ -273,11 +273,12 @@ def test_config_rejects_nonsense(kwargs):
 
 
 # ---------------------------------------------------------------------------
-# Batched drain lane (ServiceState.apply_batch)
+# Snapshot round trip under bursty traffic
 
 
 def _burst_records(seed, count, clients):
-    """Bursty per-client traffic, the shape a worker queue sweep drains."""
+    """Bursty per-client traffic: runs of records from one client and
+    warp, with some records for a client that was never admitted."""
     import random
 
     rng = random.Random(seed)
@@ -297,81 +298,21 @@ def _burst_records(seed, count, clients):
     return records
 
 
-@pytest.mark.parametrize("seed", [1, 7, 1234])
-def test_apply_batch_matches_sequential_apply(seed):
-    """Digest and per-record results are identical no matter how the
-    record stream is chunked — the property journal replay rests on."""
-    import random
-
-    config = ServeConfig(shards=2, audit_every=16, max_sessions=4,
-                         min_idle_evict=4)
-    a, b = ServiceState(config), ServiceState(config)
-    clients = ["c%d" % i for i in range(5)]
-    for client in clients:
-        a.admit(client)
-        b.admit(client)
-    records = _burst_records(seed, 600, clients)
-
-    sequential = [a.apply(*record) for record in records]
-    rng = random.Random(seed)
-    batched = []
-    i = 0
-    while i < len(records):
-        k = rng.randrange(1, 48)
-        batched.extend(b.apply_batch(records[i:i + k]))
-        i += k
-
-    assert a.state_digest() == b.state_digest()
-    assert a.counters == b.counters
-    for x, y in zip(sequential, batched):
-        if x is None or y is None:
-            assert x is y
-            continue
-        assert (x.predictions, x.degraded, x.shard, x.fault,
-                x.breaker_opened, x.breaker_closed) == \
-               (y.predictions, y.degraded, y.shard, y.fault,
-                y.breaker_opened, y.breaker_closed)
-
-
-def test_apply_batch_routes_faulting_learner_through_scalar_path():
-    """A planted non-Snake learner (the breaker tests' idiom) must fault
-    and degrade exactly as under sequential apply — the batch lane only
-    accepts runs it can prove equivalent."""
-    config = ServeConfig(shards=2, breaker_threshold=1, breaker_cooldown=50)
-    a, b = ServiceState(config), ServiceState(config)
-    for state in (a, b):
-        state.admit("x")
-        state.sessions["x"].shards[0] = _Boom()
-    records = [("x", 0, pc, 0x1000 + 64 * i, 0)
-               for i, pc in enumerate([2, 4, 6, 2, 4, 6, 3, 5, 3, 5] * 4)]
-    sequential = [a.apply(*record) for record in records]
-    batched = b.apply_batch(records)
-    assert a.state_digest() == b.state_digest()
-    assert [r.degraded for r in sequential] == [r.degraded for r in batched]
-    assert [r.fault for r in sequential] == [r.fault for r in batched]
-    assert b.counters["faults"] >= 1            # the plant did fault
-    assert b.sessions["x"].breakers[0].state == "open"
-
-
 def test_snapshot_roundtrip_after_batched_traffic():
-    """The serve snapshot must round-trip the numpy-backed learner
-    tables byte-identically after batched traffic (the chaos recovery
+    """The serve snapshot must round-trip the learner tables
+    byte-identically after bursty traffic (the chaos recovery
     certificate's foundation)."""
     state = ServiceState(ServeConfig(shards=2))
     state.admit("x")
     state.admit("y")
-    records = _burst_records(42, 400, ["x", "y"])
-    i = 0
-    while i < len(records):
-        state.apply_batch(records[i:i + 32])
-        i += 32
+    for record in _burst_records(42, 400, ["x", "y"]):
+        state.apply(*record)
     image = state.snapshot()
     clone = ServiceState.restore(image)
     assert clone.snapshot() == image
     assert clone.state_digest() == state.state_digest()
-    # and the clone continues identically, batched or not
-    more = _burst_records(43, 120, ["x", "y"])
-    state.apply_batch(more)
-    for record in more:
+    # and the clone continues identically
+    for record in _burst_records(43, 120, ["x", "y"]):
+        state.apply(*record)
         clone.apply(*record)
     assert clone.state_digest() == state.state_digest()
